@@ -413,6 +413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # Parsing, printing and some walks recurse once per nesting level.
+        print("error: formula nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
     except InternalInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3

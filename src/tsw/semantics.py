@@ -13,15 +13,20 @@ A team satisfies:
 * ``a | b`` when it satisfies at least one side as a whole;
 * ``a -> b`` when every subteam satisfying ``a`` also satisfies ``b``.
 
-Two engines implement this.  ``evaluate`` is the recursive, memoized
-transcription of the clauses above, with the tensor clause run as a
-complement-split scan: it tries the splits ``(Y, X minus Y)`` over all
-subteams ``Y``, which finds a split exactly when an overlapping one
-exists because satisfaction here is preserved under shrinking a team.
-``truth_set`` and friends instead build, per subformula, a bitmask over
-all teams of the variable set at once, using lattice sweeps for the
-subteam quantifiers.  The two engines are checked against each other
-(and against a naive all-pairs tensor) in the test suite.
+Two engines implement this.  ``evaluate`` (and so ``valid``) works
+with *alternatives*.  Satisfaction is closed under subteams, so the
+subteams of a team X that satisfy a formula are exactly those inside one
+of its maximal satisfying subteams, and these antichains compose clause
+by clause.  One iterative walk decides the root on X itself, passing
+through ``&`` and ``|``; each ``+`` or ``->`` on that path takes the
+alternatives of its two children (within X) and compares them, so no
+subteam of X is ever enumerated.  Antichains can blow up, so a walk that
+would form more than ``ALTERNATIVES_BUDGET`` candidate alternatives
+raises ``CapExceededError`` instead.  ``truth_set`` and friends build,
+per subformula, a bitmask over all teams of the variable set at once,
+using lattice sweeps for the subteam quantifiers.  The two engines are
+checked against each other (and against a naive all-pairs tensor) in the
+test suite.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Optional
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
+    BINARY_NODES,
     And,
     Bottom,
     Dep,
@@ -51,6 +57,12 @@ from .teams import Team, TeamFamily, VarSet, full_team
 
 DEFAULT_MAX_VARS = 3
 HARD_MAX_VARS = 4
+
+# Most candidate teams one evaluation may form before it gives up: pairs of
+# alternatives combined at binary nodes, choices of a dependence atom, and
+# the steps of an implication, summed over the whole formula.  Model
+# checking dependence logic is NP-complete, so antichains can blow up.
+ALTERNATIVES_BUDGET = 100_000
 
 
 def var_set(phi: Formula) -> VarSet:
@@ -72,11 +84,13 @@ def _check_cap(n: int, max_vars: int, force: bool, what: str) -> None:
 
 
 class EvalSession:
-    """Memo shared by repeated evaluations.
+    """Memo of root verdicts shared by repeated evaluations.
 
-    Results are keyed by (subformula occurrence, team mask), so a session
-    must only be reused across teams over one variable set.  Memoized and
-    unmemoized answers agree; the session only buys speed.
+    Verdicts are keyed by (formula object, team mask), so a session must
+    only be reused across teams over one variable set.  ``hits`` and
+    ``misses`` count the ``evaluate`` calls answered from the memo and
+    computed afresh.  Memoized and unmemoized answers agree; the session
+    only buys speed when the same query repeats.
     """
 
     def __init__(self):
@@ -127,80 +141,199 @@ def _var_ones(n: int, i: int) -> int:
 
 def evaluate(phi: Formula, team: Team, session: Optional[EvalSession] = None) -> bool:
     """Whether ``team`` satisfies ``phi`` (which must be placeholder-free
-    with all its variables among the team's)."""
+    with all its variables among the team's).
+
+    Raises ``CapExceededError`` when deciding needs more than
+    ``ALTERNATIVES_BUDGET`` candidate alternatives."""
     if is_context(phi):
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
-    missing = [v.name for v in variables(phi) if v not in team.vars]
+    used = variables(phi)
+    missing = [v.name for v in used if v not in team.vars]
     if missing:
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
     if session is None:
-        session = EvalSession()
+        return _Walk(team, used).verdict(phi)
     session.bind_vars(team.vars)
-    n = len(team.vars)
-    index_of = {v: i for i, v in enumerate(team.vars)}
+    key = (session.node_id(phi), team.mask)
+    got = session.memo.get(key)
+    if got is not None:
+        session.hits += 1
+        return got
+    session.misses += 1
+    out = session.memo[key] = _Walk(team, used).verdict(phi)
+    return out
 
-    def run(node: Formula, mask: int) -> bool:
-        key = (session.node_id(node), mask)
-        got = session.memo.get(key)
-        if got is not None:
-            session.hits += 1
-            return got
-        session.misses += 1
-        out = clause(node, mask)
-        session.memo[key] = out
-        return out
 
-    def clause(node: Formula, mask: int) -> bool:
-        if isinstance(node, PosVar):
-            return mask & ~_var_ones(n, index_of[node.var]) == 0
-        if isinstance(node, NegVar):
-            return mask & _var_ones(n, index_of[node.var]) == 0
-        if isinstance(node, Bottom):
-            return mask == 0
-        if isinstance(node, Top):
-            return True
-        if isinstance(node, Dep):
-            return _dep_holds(node, mask, index_of)
-        if isinstance(node, And):
-            return run(node.left, mask) and run(node.right, mask)
-        if isinstance(node, IDisj):
-            return run(node.left, mask) or run(node.right, mask)
-        if isinstance(node, Tensor):
-            s = mask
-            while True:
-                if run(node.left, s) and run(node.right, mask ^ s):
-                    return True
-                if s == 0:
-                    return False
-                s = (s - 1) & mask
-        if isinstance(node, Impl):
-            s = mask
-            while True:
-                if run(node.left, s) and not run(node.right, s):
-                    return False
-                if s == 0:
-                    return True
-                s = (s - 1) & mask
+class _Walk:
+    """One evaluation on a fixed team X.
+
+    Every subteam of X satisfying a formula lies inside one of its
+    *alternatives*: the maximal satisfying subteams, an antichain of masks.
+    ``verdict`` decides X itself, passing through ``&`` and ``|``; a ``+``
+    or ``->`` asks ``alternatives`` for both of its children, and from
+    there down every node is an antichain.
+    """
+
+    __slots__ = ("X", "ones", "spent")
+
+    def __init__(self, team: Team, used: tuple[Variable, ...]):
+        names = team.vars.names()
+        self.X = team.mask
+        # name of each variable the formula uses -> the patterns setting it to 1
+        self.ones = {v.name: _var_ones(len(names), names.index(v.name)) for v in used}
+        self.spent = 0
+
+    def charge(self, k: int) -> None:
+        self.spent += k
+        if self.spent > ALTERNATIVES_BUDGET:
+            raise CapExceededError(
+                f"evaluation needs more than {ALTERNATIVES_BUDGET} candidate alternatives"
+            )
+
+    def verdict(self, phi: Formula) -> bool:
+        X = self.X
+        # Left-descents pass through "&" and "|" nodes whose right child is
+        # still owed; once the left verdict does not settle a node, its
+        # verdict is its right child's, so the node is not kept.
+        pending: list[Formula] = []
+        node = phi
+        while True:
+            t = type(node)
+            while t is And or t is IDisj:
+                pending.append(node)
+                node = node.left
+                t = type(node)
+            if t is PosVar:
+                val = X & ~self.ones[node.var.name] == 0
+            elif t is NegVar:
+                val = X & self.ones[node.var.name] == 0
+            elif t is Top:
+                val = True
+            elif t is Bottom:
+                val = X == 0
+            elif t is Dep:
+                val = not any(a and b for a, b in self.dep_classes(node))
+            elif t is Tensor or t is Impl:
+                left = self.alternatives(node.left)
+                right = self.alternatives(node.right)
+                self.charge(len(left) * len(right))
+                if t is Tensor:
+                    val = any(X & ~(a | b) == 0 for a in left for b in right)
+                else:
+                    val = all(any(a & ~b == 0 for b in right) for a in left)
+            else:
+                raise InternalInvariantError(f"unknown node {node!r}")
+            while pending:
+                parent = pending.pop()
+                if val is not (type(parent) is IDisj):
+                    node = parent.right
+                    break
+            else:
+                return val
+
+    def alternatives(self, phi: Formula) -> list[int]:
+        if type(phi) not in BINARY_NODES:
+            return self.atom_alternatives(phi)
+        done: list[list[int]] = []
+        stack: list[tuple[Formula, bool]] = [(phi, False)]
+        while stack:
+            node, ready = stack.pop()
+            t = type(node)
+            if t not in BINARY_NODES:
+                done.append(self.atom_alternatives(node))
+                continue
+            if not ready:
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+                continue
+            right = done.pop()
+            left = done.pop()
+            if t is IDisj:
+                self.charge(len(left) + len(right))
+                done.append(_maximal(left + right))
+            elif t is Impl:
+                done.append(self.implication_alternatives(left, right))
+            else:
+                self.charge(len(left) * len(right))
+                if t is And:
+                    done.append(_maximal([a & b for a in left for b in right]))
+                else:
+                    done.append(_maximal([a | b for a in left for b in right]))
+        return done[0]
+
+    def atom_alternatives(self, node: Formula) -> list[int]:
+        t = type(node)
+        if t is PosVar:
+            return [self.X & self.ones[node.var.name]]
+        if t is NegVar:
+            return [self.X & ~self.ones[node.var.name]]
+        if t is Top:
+            return [self.X]
+        if t is Bottom:
+            return [0]
+        if t is Dep:
+            return self.dep_alternatives(node)
         raise InternalInvariantError(f"unknown node {node!r}")
 
-    return run(phi, team.mask)
+    def dep_classes(self, dep: Dep) -> list[tuple[int, int]]:
+        """The nonempty classes of members of X that agree on the arguments,
+        each split into its members with target 0 and with target 1."""
+        classes = [self.X]
+        for a in dep.args:
+            ones = self.ones[a.name]
+            classes = [part for c in classes for part in (c & ~ones, c & ones) if part]
+        ones = self.ones[dep.target.name]
+        return [(c & ~ones, c & ones) for c in classes]
+
+    def dep_alternatives(self, dep: Dep) -> list[int]:
+        """One alternative per choice of a target value on each class."""
+        mixed = [(a, b) for a, b in self.dep_classes(dep) if a and b]
+        self.charge(1 << len(mixed))
+        alts = [self.X & ~sum(a | b for a, b in mixed)]
+        for a, b in mixed:
+            alts = [y | a for y in alts] + [y | b for y in alts]
+        return alts
+
+    def implication_alternatives(self, left: list[int], right: list[int]) -> list[int]:
+        """The maximal Y inside X such that every left alternative A meets Y
+        inside some right alternative B: intersect, over A, the choices of
+        (X minus A) | B, keeping only maximal candidates after each step."""
+        cands = [self.X]
+        for a in left:
+            if any(a & ~b == 0 for b in right):
+                continue  # every choice keeps the whole of each candidate
+            outside = self.X & ~a
+            self.charge(len(cands) * len(right))
+            cands = _maximal([y & (outside | b) for y in cands for b in right])
+        return cands
 
 
-def _dep_holds(dep: Dep, mask: int, index_of: dict[Variable, int]) -> bool:
-    arg_bits = [index_of[a] for a in dep.args]
-    target_bit = index_of[dep.target]
-    seen: dict[tuple[int, ...], int] = {}
-    m = mask
-    while m:
-        low = m & -m
-        pattern = low.bit_length() - 1
-        m ^= low
-        key = tuple((pattern >> b) & 1 for b in arg_bits)
-        tval = (pattern >> target_bit) & 1
-        prior = seen.setdefault(key, tval)
-        if prior != tval:
-            return False
-    return True
+def _maximal(masks: list[int]) -> list[int]:
+    """The maximal elements of a collection of team masks, largest first."""
+    if len(masks) < 2:
+        return masks
+    kept: list[int] = []
+    # pattern bit -> bitset over the indices of the kept masks that hold it,
+    # so "inside some kept mask" is one AND per member
+    holders: dict[int, int] = {}
+    for t in sorted(set(masks), key=int.bit_count, reverse=True):
+        inside = (1 << len(kept)) - 1
+        m = t
+        while m and inside:
+            low = m & -m
+            inside &= holders.get(low, 0)
+            m ^= low
+        if inside:
+            continue
+        bit = 1 << len(kept)
+        m = t
+        while m:
+            low = m & -m
+            holders[low] = holders.get(low, 0) | bit
+            m ^= low
+        kept.append(t)
+    return kept
 
 
 # --- Indicator engine ----------------------------------------------------
@@ -292,12 +425,27 @@ def _tensor_indicator(left: int, right: int, npat: int) -> int:
     return out
 
 
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
 def _bit_positions(x: int) -> list[int]:
+    """The positions of the set bits of ``x``, lowest first.
+
+    Stripping the lowest set bit costs a pass over all of ``x``, so it is
+    kept for a few bits (such as the maximal teams of a family); more are
+    read off one byte at a time, in time linear in the length of ``x``."""
     out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+    if x.bit_count() <= 32:
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return out
+    for i, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little")):
+        if byte:
+            base = 8 * i
+            for j in _BYTE_BITS[byte]:
+                out.append(base + j)
     return out
 
 
@@ -529,7 +677,7 @@ def check_basic_properties(
 
     # Locality: extending sampled teams with a fresh variable leaves the
     # verdict unchanged.  This also cross-checks the two engines, since the
-    # extended teams go through the recursive evaluator.
+    # extended teams go through the alternatives engine.
     rng = random.Random(seed)
     fresh = _fresh_variable(vars)
     extended = vars.union(VarSet((fresh,)))

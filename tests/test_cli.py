@@ -321,3 +321,17 @@ def test_vars_flag_rejects_empty_and_bad_names(capsys):
     assert err == "error: --vars needs at least one name\n"
     code, _, err = run(capsys, "truthset", "-f", "p", "--vars", "p,1x")
     assert code == 1
+
+
+def test_too_deep_nesting_exits_two(capsys):
+    code, out, err = run(capsys, "parse", "-f", "(" * 600 + "p" + ")" * 600)
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nested too deeply for the recursion limit\n"
+
+
+def test_valid_over_alternatives_budget_exits_two(capsys):
+    code, out, err = run(capsys, "valid", "-f", "=(p,q,r,s,t;u) + =(p,q,r,s,t;u)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: evaluation needs more than")

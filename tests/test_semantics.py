@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from tsw.errors import CapExceededError, ValidationError
-from tsw.formulas import Fragment, Variable
+from tsw.formulas import And, Fragment, IDisj, Impl, Tensor, Top, Variable
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
     EvalSession,
+    _bit_positions,
+    _truth_indicator,
     check_basic_properties,
     entails,
     equivalent,
@@ -158,9 +160,9 @@ def test_eval_session_memoisation_is_transparent():
     plain = [evaluate(phi, x) for x in enumerate_teams(PQ)]
     memo = [evaluate(phi, x, shared) for x in enumerate_teams(PQ)]
     assert plain == memo
-    assert shared.hits > 0
     again = [evaluate(phi, x, shared) for x in enumerate_teams(PQ)]
     assert again == plain
+    assert shared.hits > 0
 
 
 def test_eval_session_rejects_mixed_varsets():
@@ -212,7 +214,8 @@ def test_variable_caps():
     with pytest.raises(CapExceededError):
         entails(wide4, parse("p"))
     assert entails(wide4, parse("p"), force=True)
-    # validity is a single evaluation and carries no cap
+    # validity is a single evaluation, bounded by the alternatives budget
+    # rather than by a variable cap
     assert not valid(wide5)
 
 
@@ -286,3 +289,60 @@ def test_locality_across_extensions():
     sess = EvalSession()
     for x in enumerate_teams(PQ):
         assert evaluate(phi, x) == evaluate(phi, x.restrict(P), sess)
+
+
+def test_evaluate_against_indicator_and_references():
+    # evaluate decides by alternatives; the indicator engine, the clause
+    # transcription and the all-pairs tensor are independent of it
+    rng = random.Random(20110101)
+    pool = [Variable(n) for n in "pqrs"]
+    for nvars, rounds in ((0, 20), (1, 150), (2, 250), (3, 250), (4, 25)):
+        vs = pool[:nvars]
+        varset = VarSet(tuple(vs))
+        for _ in range(rounds):
+            phi = random_formula(rng, vs, max_depth=2)
+            psi = random_formula(rng, vs, max_depth=2)
+            chi = rng.choice((And, Tensor, IDisj, Impl))(phi, psi)
+            ind = _truth_indicator(chi, varset)
+            for x in (random_team(rng, varset), random_team(rng, varset, max_size=3)):
+                got = evaluate(chi, x)
+                assert got == bool(ind >> x.mask & 1), (chi, x.rows())
+                if x.size <= 3:
+                    assert got == reference_evaluate(chi, x), (chi, x.rows())
+                if isinstance(chi, Tensor):
+                    assert got == naive_tensor_holds(phi, psi, x), (chi, x.rows())
+
+
+def test_valid_on_formerly_unbounded_inputs():
+    assert not valid(parse("p + q + r + s"))
+    assert not valid(parse("((p + q) + (r + s)) + t"))
+    chain = parse(" & ".join("pqr"[i % 3] for i in range(5000)))
+    assert not valid(chain)
+    assert valid(Tensor(chain, Top()))
+    assert not valid(Tensor(chain, chain))
+    assert valid(parse(" & ".join(["p + !p"] * 5000)))
+    # a bare dependence atom is decided on the team, not by its 2^32 choices
+    assert not valid(parse("=(p,q,r,s,t;u)"))
+    with pytest.raises(CapExceededError):
+        valid(parse("=(p,q,r,s,t;u) + =(p,q,r,s,t;u)"))
+
+
+def test_bit_positions_match_bit_stripping():
+    def stripped(x):
+        out = []
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return out
+
+    rng = random.Random(7)
+    for bits in (0, 1, 2, 63, 64, 65, 1000, 65536):
+        for _ in range(3):
+            x = rng.getrandbits(bits)
+            assert _bit_positions(x) == stripped(x)
+            # sparse ints of the same length, on both sides of 32 set bits
+            for k in (1, 32, 33, 100):
+                y = sum(1 << rng.randrange(bits) for _ in range(k)) if bits else 0
+                assert _bit_positions(y) == stripped(y)
+    assert _bit_positions((1 << 65536) - 1) == list(range(65536))
