@@ -32,8 +32,9 @@ from .formulas import (
 )
 from .semantics import (
     DEFAULT_MAX_VARS,
+    _alternatives,
     _check_cap,
-    _truth_indicator,
+    _indicator,
     truth_set,
 )
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
@@ -128,7 +129,8 @@ def synth_pd(
             if len(kept) == 1:
                 break
             trial = kept[:i] + kept[i + 1 :]
-            if _truth_indicator(_fold(And, trial), K.vars) == target:
+            phi = _fold(And, trial)
+            if _indicator(phi, K.vars, _alternatives(phi, K.vars)) == target:
                 kept = trial
             else:
                 i += 1

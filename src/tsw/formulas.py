@@ -219,21 +219,31 @@ def subformulas(phi: Formula) -> list[Formula]:
     return out
 
 
-def variables(phi: Formula) -> tuple[Variable, ...]:
-    """Variables occurring in ``phi``, sorted by name."""
+def scan_variables(phi: Formula) -> tuple[set[Variable], bool]:
+    """The variables occurring in ``phi``, and whether a placeholder
+    occurs, from one walk."""
     acc: set[Variable] = set()
+    placeholder = False
     stack = [phi]
     while stack:
         f = stack.pop()
-        if isinstance(f, BINARY_NODES):
+        t = type(f)
+        if t in BINARY_NODES:
             stack.append(f.left)
             stack.append(f.right)
-        elif isinstance(f, (PosVar, NegVar)):
+        elif t is PosVar or t is NegVar:
             acc.add(f.var)
-        elif isinstance(f, Dep):
+        elif t is Dep:
             acc.update(f.args)
             acc.add(f.target)
-    return tuple(sorted(acc))
+        elif t is Placeholder:
+            placeholder = True
+    return acc, placeholder
+
+
+def variables(phi: Formula) -> tuple[Variable, ...]:
+    """Variables occurring in ``phi``, sorted by name."""
+    return tuple(sorted(scan_variables(phi)[0]))
 
 
 def placeholder_indices(phi: Formula) -> tuple[int, ...]:

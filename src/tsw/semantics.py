@@ -13,20 +13,28 @@ A team satisfies:
 * ``a | b`` when it satisfies at least one side as a whole;
 * ``a -> b`` when every subteam satisfying ``a`` also satisfies ``b``.
 
-Two engines implement this.  ``evaluate`` (and so ``valid``) works
-with *alternatives*.  Satisfaction is closed under subteams, so the
-subteams of a team X that satisfy a formula are exactly those inside one
-of its maximal satisfying subteams, and these antichains compose clause
-by clause.  One iterative walk decides the root on X itself, passing
-through ``&`` and ``|``; each ``+`` or ``->`` on that path takes the
-alternatives of its two children (within X) and compares them, so no
-subteam of X is ever enumerated.  Antichains can blow up, so a walk that
-would form more than ``ALTERNATIVES_BUDGET`` candidate alternatives
-raises ``CapExceededError`` instead.  ``truth_set`` and friends build,
-per subformula, a bitmask over all teams of the variable set at once,
-using lattice sweeps for the subteam quantifiers.  The two engines are
+Two engines implement this.  The main one works with *alternatives*.
+Satisfaction is closed under subteams, so the subteams of a team X that
+satisfy a formula are exactly those inside one of its maximal satisfying
+subteams, and these antichains compose clause by clause.  For
+``evaluate`` (and so ``valid``), one iterative walk decides the root on X
+itself, passing through ``&`` and ``|``; each ``+`` or ``->`` on that
+path takes the alternatives of its two children (within X) and compares
+them, so no subteam of X is ever enumerated.  Antichains can blow up, so
+a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
+alternatives raises ``CapExceededError`` instead.
+
+``truth_set``, ``entails`` and ``equivalent`` take the alternatives of
+the full team over their variables: the truth set is their down-set, one
+formula entails another when each of its alternatives lies inside one of
+the other's, and two formulas are equivalent when their alternatives
+coincide.  They keep their variable caps, and when the walk would exceed
+the budget they fall back to the indicator engine, which builds, per
+subformula, a bitmask over all teams of the variable set at once, using
+lattice sweeps for the subteam quantifiers.  Its cost is bounded by the
+caps, so every judgment within them gets an answer.  The two engines are
 checked against each other (and against a naive all-pairs tensor) in the
-test suite.
+test suite, and ``check_basic_properties`` runs both.
 """
 
 from __future__ import annotations
@@ -49,11 +57,10 @@ from .formulas import (
     Tensor,
     Top,
     Variable,
-    is_context,
+    scan_variables,
     to_text,
-    variables,
 )
-from .teams import Team, TeamFamily, VarSet, full_team
+from .teams import Team, TeamFamily, VarSet, full_team, maximal_masks
 
 DEFAULT_MAX_VARS = 3
 HARD_MAX_VARS = 4
@@ -67,7 +74,7 @@ ALTERNATIVES_BUDGET = 100_000
 
 def var_set(phi: Formula) -> VarSet:
     """The variables of a formula, as a canonical variable set."""
-    return VarSet.from_variables(variables(phi))
+    return VarSet.from_variables(scan_variables(phi)[0])
 
 
 def effective_cap(max_vars: int = DEFAULT_MAX_VARS, force: bool = False) -> int:
@@ -145,10 +152,10 @@ def evaluate(phi: Formula, team: Team, session: Optional[EvalSession] = None) ->
 
     Raises ``CapExceededError`` when deciding needs more than
     ``ALTERNATIVES_BUDGET`` candidate alternatives."""
-    if is_context(phi):
+    used, placeholder = scan_variables(phi)
+    if placeholder:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
-    used = variables(phi)
-    missing = [v.name for v in used if v not in team.vars]
+    missing = sorted(v.name for v in used if v not in team.vars)
     if missing:
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
     if session is None:
@@ -176,7 +183,7 @@ class _Walk:
 
     __slots__ = ("X", "ones", "spent")
 
-    def __init__(self, team: Team, used: tuple[Variable, ...]):
+    def __init__(self, team: Team, used: set[Variable]):
         names = team.vars.names()
         self.X = team.mask
         # name of each variable the formula uses -> the patterns setting it to 1
@@ -251,15 +258,15 @@ class _Walk:
             left = done.pop()
             if t is IDisj:
                 self.charge(len(left) + len(right))
-                done.append(_maximal(left + right))
+                done.append(maximal_masks(left + right))
             elif t is Impl:
                 done.append(self.implication_alternatives(left, right))
             else:
                 self.charge(len(left) * len(right))
                 if t is And:
-                    done.append(_maximal([a & b for a in left for b in right]))
+                    done.append(maximal_masks([a & b for a in left for b in right]))
                 else:
-                    done.append(_maximal([a | b for a in left for b in right]))
+                    done.append(maximal_masks([a | b for a in left for b in right]))
         return done[0]
 
     def atom_alternatives(self, node: Formula) -> list[int]:
@@ -305,35 +312,8 @@ class _Walk:
                 continue  # every choice keeps the whole of each candidate
             outside = self.X & ~a
             self.charge(len(cands) * len(right))
-            cands = _maximal([y & (outside | b) for y in cands for b in right])
+            cands = maximal_masks([y & (outside | b) for y in cands for b in right])
         return cands
-
-
-def _maximal(masks: list[int]) -> list[int]:
-    """The maximal elements of a collection of team masks, largest first."""
-    if len(masks) < 2:
-        return masks
-    kept: list[int] = []
-    # pattern bit -> bitset over the indices of the kept masks that hold it,
-    # so "inside some kept mask" is one AND per member
-    holders: dict[int, int] = {}
-    for t in sorted(set(masks), key=int.bit_count, reverse=True):
-        inside = (1 << len(kept)) - 1
-        m = t
-        while m and inside:
-            low = m & -m
-            inside &= holders.get(low, 0)
-            m ^= low
-        if inside:
-            continue
-        bit = 1 << len(kept)
-        m = t
-        while m:
-            low = m & -m
-            holders[low] = holders.get(low, 0) | bit
-            m ^= low
-        kept.append(t)
-    return kept
 
 
 # --- Indicator engine ----------------------------------------------------
@@ -341,39 +321,22 @@ def _maximal(masks: list[int]) -> list[int]:
 # For a variable set with npat = 2^n patterns there are 2^npat teams.  A
 # subformula's indicator is an int with bit m set iff the team with mask m
 # satisfies it.  Positions are team masks, so "bit j of a position" means
-# membership of valuation pattern j, and the subset/superset sweeps below
-# are lattice DPs over one membership bit at a time.
-
-_pat0_cache: dict[tuple[int, int], int] = {}
-
-
-def _pat0(npat: int, j: int) -> int:
-    """Positions (team masks) whose bit ``j`` is 0."""
-    key = (npat, j)
-    got = _pat0_cache.get(key)
-    if got is None:
-        b = 1 << j
-        period = 2 * b
-        unit = (1 << b) - 1
-        reps = (1 << npat) // period
-        got = unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
-        _pat0_cache[key] = got
-    return got
+# membership of valuation pattern j, and _var_ones(npat, j) holds the
+# positions that contain pattern j.  The subset/superset sweeps below are
+# lattice DPs over one membership bit at a time.
 
 
 def _superset_or(ind: int, npat: int) -> int:
     """Bit m of the result: some superset of team m has its bit set."""
     for j in range(npat):
-        b = 1 << j
-        ind |= (ind >> b) & _pat0(npat, j)
+        ind |= (ind & _var_ones(npat, j)) >> (1 << j)
     return ind
 
 
 def _subset_or(ind: int, npat: int) -> int:
     """Bit m of the result: some subteam of team m has its bit set."""
     for j in range(npat):
-        b = 1 << j
-        ind |= (ind << b) & (_pat0(npat, j) << b)
+        ind |= (ind << (1 << j)) & _var_ones(npat, j)
     return ind
 
 
@@ -381,37 +344,29 @@ def _strict_superset_or(ind: int, npat: int) -> int:
     closure = _superset_or(ind, npat)
     acc = 0
     for j in range(npat):
-        b = 1 << j
-        acc |= (closure >> b) & _pat0(npat, j)
+        acc |= (closure & _var_ones(npat, j)) >> (1 << j)
     return acc
 
 
+def _down_set(masks, npat: int) -> int:
+    """The indicator of the teams inside at least one of ``masks``."""
+    seeds = 0
+    for m in masks:
+        seeds |= 1 << m
+    return _superset_or(seeds, npat)
+
+
 def _tensor_indicator(left: int, right: int, npat: int) -> int:
-    if npat <= 8:
-        out = 0
-        for m in range(1 << npat):
-            s = m
-            while True:
-                if (left >> s) & 1 and (right >> (m ^ s)) & 1:
-                    out |= 1 << m
-                    break
-                if s == 0:
-                    break
-                s = (s - 1) & m
-        return out
     # Larger pattern spaces: when both operand truth sets are closed under
     # subteams (verified here, cheaply), a team satisfies the tensor iff it
     # is covered by the union of one maximal team per side.
-    if _superset_or(left, npat) == left and _superset_or(right, npat) == right:
+    if npat > 8 and _superset_or(left, npat) == left and _superset_or(right, npat) == right:
         max_l = _bit_positions(left & ~_strict_superset_or(left, npat))
         max_r = _bit_positions(right & ~_strict_superset_or(right, npat))
         if len(max_l) * len(max_r) <= 4_000_000:
-            seeds = 0
-            for a in max_l:
-                for b in max_r:
-                    seeds |= 1 << (a | b)
-            return _superset_or(seeds, npat)
-    # Fallback: the exact per-team scan (slow, only reachable behind force).
+            return _down_set((a | b for a in max_l for b in max_r), npat)
+    # The exact per-team scan: up to 3 variables, and the slow fallback
+    # beyond (only reachable behind force).
     out = 0
     for m in range(1 << npat):
         s = m
@@ -449,12 +404,20 @@ def _bit_positions(x: int) -> list[int]:
     return out
 
 
-def _truth_indicator(phi: Formula, vars: VarSet) -> int:
-    if is_context(phi):
+def _closed_variables(phi: Formula, vars: VarSet) -> set[Variable]:
+    """The variables of ``phi``, checked to be placeholder-free and inside
+    ``vars``."""
+    used, placeholder = scan_variables(phi)
+    if placeholder:
         raise ValidationError("cannot take the truth set of a context")
-    for v in variables(phi):
+    for v in sorted(used):
         if v not in vars:
             raise ValidationError(f"variable {v.name!r} of the formula is outside the given set")
+    return used
+
+
+def _truth_indicator(phi: Formula, vars: VarSet) -> int:
+    _closed_variables(phi, vars)
     n = len(vars)
     if n > HARD_MAX_VARS:
         raise CapExceededError(
@@ -477,9 +440,9 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
 
     def build(node: Formula) -> int:
         if isinstance(node, PosVar):
-            return _down_set_of(_var_ones(n, index_of[node.var]))
+            return _down_set((_var_ones(n, index_of[node.var]),), npat)
         if isinstance(node, NegVar):
-            return _down_set_of(((1 << npat) - 1) ^ _var_ones(n, index_of[node.var]))
+            return _down_set((((1 << npat) - 1) ^ _var_ones(n, index_of[node.var]),), npat)
         if isinstance(node, Bottom):
             return 1
         if isinstance(node, Top):
@@ -506,17 +469,33 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
             return all_teams & ~_subset_or(bad, npat)
         raise InternalInvariantError(f"unknown node {node!r}")
 
-    def _down_set_of(allowed_patterns: int) -> int:
-        # Teams all of whose members lie in the allowed pattern set.
-        out = 0
-        s = allowed_patterns
-        while True:
-            out |= 1 << s
-            if s == 0:
-                return out
-            s = (s - 1) & allowed_patterns
-
     return run(phi)
+
+
+# --- Judgments over all teams ---------------------------------------------
+#
+# Satisfaction is closed under subteams, so the truth set of a formula over
+# a variable set is the down-set of its alternatives on the full team.  The
+# walk computes those; when it would exceed ALTERNATIVES_BUDGET, the
+# indicator engine answers instead, at a cost bounded by the variable cap.
+
+
+def _alternatives(phi: Formula, vars: VarSet) -> Optional[list[int]]:
+    """The alternatives of ``phi`` on the full team over ``vars`` (which must
+    hold its variables), or None when the walk exceeds the budget."""
+    walk = _Walk(full_team(vars), _closed_variables(phi, vars))
+    try:
+        return walk.alternatives(phi)
+    except CapExceededError:
+        return None
+
+
+def _indicator(phi: Formula, vars: VarSet, alts: Optional[list[int]]) -> int:
+    """The truth indicator of ``phi`` over ``vars``, from its alternatives,
+    or from the indicator engine when the walk gave up (``alts`` is None)."""
+    if alts is None:
+        return _truth_indicator(phi, vars)
+    return _down_set(alts, 1 << len(vars))
 
 
 def truth_set(
@@ -530,7 +509,7 @@ def truth_set(
     if vars is None:
         vars = var_set(phi)
     _check_cap(len(vars), max_vars, force, "truth set")
-    ind = _truth_indicator(phi, vars)
+    ind = _indicator(phi, vars, _alternatives(phi, vars))
     return TeamFamily(vars, frozenset(_bit_positions(ind)))
 
 
@@ -548,10 +527,14 @@ def entails(
     force: bool = False,
 ) -> bool:
     """Whether every team (over the combined variables) satisfying ``phi``
-    satisfies ``psi``."""
+    satisfies ``psi``: whether each alternative of ``phi`` lies inside an
+    alternative of ``psi``."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "entailment")
-    return _truth_indicator(phi, vars) & ~_truth_indicator(psi, vars) == 0
+    a, b = _alternatives(phi, vars), _alternatives(psi, vars)
+    if a is None or b is None:
+        return _indicator(phi, vars, a) & ~_indicator(psi, vars, b) == 0
+    return all(any(x & ~y == 0 for y in b) for x in a)
 
 
 def equivalent(
@@ -561,10 +544,14 @@ def equivalent(
     max_vars: int = DEFAULT_MAX_VARS,
     force: bool = False,
 ) -> bool:
-    """Mutual entailment: equal truth sets over the combined variables."""
+    """Mutual entailment: equal truth sets over the combined variables, so
+    equal sets of alternatives (a family has one set of maximal members)."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "equivalence")
-    return _truth_indicator(phi, vars) == _truth_indicator(psi, vars)
+    a, b = _alternatives(phi, vars), _alternatives(psi, vars)
+    if a is None or b is None:
+        return _indicator(phi, vars, a) == _indicator(psi, vars, b)
+    return set(a) == set(b)
 
 
 # --- Property suite -------------------------------------------------------

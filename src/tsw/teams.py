@@ -243,6 +243,33 @@ def enumerate_teams(vars: VarSet, cap: int = TEAM_ENUM_CAP) -> Iterator[Team]:
         yield Team(vars, m)
 
 
+def maximal_masks(masks: list[int]) -> list[int]:
+    """The maximal elements of a collection of team masks, largest first."""
+    if len(masks) < 2:
+        return masks
+    kept: list[int] = []
+    # pattern bit -> bitset over the indices of the kept masks that hold it,
+    # so "inside some kept mask" is one AND per member
+    holders: dict[int, int] = {}
+    for t in sorted(set(masks), key=int.bit_count, reverse=True):
+        inside = (1 << len(kept)) - 1
+        m = t
+        while m and inside:
+            low = m & -m
+            inside &= holders.get(low, 0)
+            m ^= low
+        if inside:
+            continue
+        bit = 1 << len(kept)
+        m = t
+        while m:
+            low = m & -m
+            holders[low] = holders.get(low, 0) | bit
+            m ^= low
+        kept.append(t)
+    return kept
+
+
 @dataclass(frozen=True)
 class TeamFamily:
     """A set of teams over a fixed variable set."""
@@ -280,10 +307,7 @@ class TeamFamily:
 
     def maximal_teams(self) -> list[Team]:
         """Members with no strict superset in the family, in canonical order."""
-        out = []
-        for m in self.masks:
-            if not any(m != other and m & ~other == 0 for other in self.masks):
-                out.append(m)
+        out = maximal_masks(list(self.masks))
         return [Team(self.vars, m) for m in sorted(out, key=lambda m: (m.bit_count(), m))]
 
     def to_json(self) -> dict:

@@ -10,6 +10,7 @@ from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
     EvalSession,
+    _alternatives,
     _bit_positions,
     _truth_indicator,
     check_basic_properties,
@@ -18,6 +19,7 @@ from tsw.semantics import (
     evaluate,
     truth_set,
     valid,
+    var_set,
 )
 from tsw.teams import Team, VarSet, enumerate_teams, full_team
 
@@ -311,6 +313,60 @@ def test_evaluate_against_indicator_and_references():
                     assert got == reference_evaluate(chi, x), (chi, x.rows())
                 if isinstance(chi, Tensor):
                     assert got == naive_tensor_holds(phi, psi, x), (chi, x.rows())
+
+
+def test_judgments_against_indicator():
+    # truth_set, entails and equivalent decide by the alternatives of the
+    # full team; the indicator engine builds every truth set independently
+    rng = random.Random(20150101)
+    pool = [Variable(n) for n in "pqrs"]
+    for nvars, rounds in ((0, 10), (1, 60), (2, 120), (3, 150), (4, 20)):
+        vs = pool[:nvars]
+        varset = VarSet(tuple(vs))
+        for i in range(rounds):
+            phi = random_formula(rng, vs, max_depth=3)
+            psi = random_formula(rng, vs, max_depth=3)
+            # pairs that entail and are equivalent by construction, so that
+            # both verdicts of each judgment occur
+            if i % 3 == 1:
+                psi = IDisj(phi, psi)
+            elif i % 3 == 2 and isinstance(phi, (And, Tensor, IDisj)):
+                psi = type(phi)(phi.right, phi.left)
+            got = truth_set(phi, varset, force=nvars == 4)
+            assert got.masks == frozenset(_bit_positions(_truth_indicator(phi, varset))), phi
+            both = var_set(phi).union(var_set(psi))
+            ind_phi = _truth_indicator(phi, both)
+            ind_psi = _truth_indicator(psi, both)
+            force = len(both) == 4
+            assert entails(phi, psi, force=force) == (ind_phi & ~ind_psi == 0), (phi, psi)
+            assert equivalent(phi, psi, force=force) == (ind_phi == ind_psi), (phi, psi)
+
+
+def test_judgments_fall_back_to_the_indicator_past_the_budget():
+    phi = parse("(=(p,q,r;s) + =(p,q,r;s)) -> =(p,q,r;s) + =(p,q,r;s)")
+    vs = VarSet.of("p", "q", "r", "s")
+    assert _alternatives(phi, vs) is None  # the walk exceeds its budget
+    family = truth_set(phi, force=True)
+    assert len(family) == 65_536
+    assert family.masks == frozenset(_bit_positions(_truth_indicator(phi, vs)))
+    # one side over the budget, the other decided by its alternatives
+    assert entails(phi, parse("=(p,q,r;s) + =(p,q,r;s)"), force=True)
+    assert entails(parse("p & q & r & s"), phi, force=True)
+    assert not entails(phi, parse("=(p,q,r;s)"), force=True)
+    assert equivalent(phi, parse("top"), force=True)
+    assert not equivalent(parse("=(s)"), phi, force=True)
+
+
+def test_judgment_validation_messages():
+    with pytest.raises(ValidationError) as exc:
+        truth_set(parse("r1 & p"))
+    assert str(exc.value) == "cannot take the truth set of a context"
+    with pytest.raises(ValidationError) as exc:
+        entails(parse("p"), parse("p + r2"))
+    assert str(exc.value) == "cannot take the truth set of a context"
+    with pytest.raises(ValidationError) as exc:
+        truth_set(parse("q & p"), VarSet.of("p"))
+    assert str(exc.value) == "variable 'q' of the formula is outside the given set"
 
 
 def test_valid_on_formerly_unbounded_inputs():

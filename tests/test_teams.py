@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -135,6 +137,26 @@ def test_family_membership_and_maximal():
     assert is_downward_closed(fam)
     not_closed = TeamFamily.from_teams([full_team(P)])
     assert not is_downward_closed(not_closed)
+
+
+def test_maximal_teams_match_all_pairs_definition():
+    rng = random.Random(11)
+    for vs in (NO_VARS, P, PQ, VarSet.of("p", "q", "r")):
+        npat = 1 << len(vs)
+        for _ in range(40):
+            # the down-set of a few random generators
+            masks = {0}
+            for g in (rng.getrandbits(npat) for _ in range(rng.randint(1, 5))):
+                s = g
+                while s:
+                    masks.add(s)
+                    s = (s - 1) & g
+            fam = TeamFamily(vs, frozenset(masks))
+            want = sorted(
+                (m for m in masks if not any(m != o and m & ~o == 0 for o in masks)),
+                key=lambda m: (m.bit_count(), m),
+            )
+            assert [t.mask for t in fam.maximal_teams()] == want
 
 
 def test_family_json_round_trip():
