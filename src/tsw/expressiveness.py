@@ -32,9 +32,8 @@ from .formulas import (
 )
 from .semantics import (
     DEFAULT_MAX_VARS,
-    _alternatives,
     _check_cap,
-    _indicator,
+    _truth_indicator,
     truth_set,
 )
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
@@ -129,8 +128,7 @@ def synth_pd(
             if len(kept) == 1:
                 break
             trial = kept[:i] + kept[i + 1 :]
-            phi = _fold(And, trial)
-            if _indicator(phi, K.vars, _alternatives(phi, K.vars)) == target:
+            if _truth_indicator(_fold(And, trial), K.vars) == target:
                 kept = trial
             else:
                 i += 1

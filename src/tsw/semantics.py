@@ -490,14 +490,6 @@ def _alternatives(phi: Formula, vars: VarSet) -> Optional[list[int]]:
         return None
 
 
-def _indicator(phi: Formula, vars: VarSet, alts: Optional[list[int]]) -> int:
-    """The truth indicator of ``phi`` over ``vars``, from its alternatives,
-    or from the indicator engine when the walk gave up (``alts`` is None)."""
-    if alts is None:
-        return _truth_indicator(phi, vars)
-    return _down_set(alts, 1 << len(vars))
-
-
 def truth_set(
     phi: Formula,
     vars: Optional[VarSet] = None,
@@ -509,7 +501,8 @@ def truth_set(
     if vars is None:
         vars = var_set(phi)
     _check_cap(len(vars), max_vars, force, "truth set")
-    ind = _indicator(phi, vars, _alternatives(phi, vars))
+    alts = _alternatives(phi, vars)
+    ind = _truth_indicator(phi, vars) if alts is None else _down_set(alts, 1 << len(vars))
     return TeamFamily(vars, frozenset(_bit_positions(ind)))
 
 
@@ -531,9 +524,10 @@ def entails(
     alternative of ``psi``."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "entailment")
-    a, b = _alternatives(phi, vars), _alternatives(psi, vars)
-    if a is None or b is None:
-        return _indicator(phi, vars, a) & ~_indicator(psi, vars, b) == 0
+    a = _alternatives(phi, vars)
+    b = None if a is None else _alternatives(psi, vars)
+    if b is None:
+        return _truth_indicator(phi, vars) & ~_truth_indicator(psi, vars) == 0
     return all(any(x & ~y == 0 for y in b) for x in a)
 
 
@@ -548,9 +542,10 @@ def equivalent(
     equal sets of alternatives (a family has one set of maximal members)."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "equivalence")
-    a, b = _alternatives(phi, vars), _alternatives(psi, vars)
-    if a is None or b is None:
-        return _indicator(phi, vars, a) == _indicator(psi, vars, b)
+    a = _alternatives(phi, vars)
+    b = None if a is None else _alternatives(psi, vars)
+    if b is None:
+        return _truth_indicator(phi, vars) == _truth_indicator(psi, vars)
     return set(a) == set(b)
 
 
