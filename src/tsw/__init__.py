@@ -54,11 +54,9 @@ from .teams import (
     enumerate_teams,
     full_team,
     is_downward_closed,
-    restrict,
 )
 from .semantics import (
     CheckOutcome,
-    EvalSession,
     PropertyReport,
     check_basic_properties,
     entails,
@@ -70,7 +68,6 @@ from .semantics import (
 )
 from .randgen import random_formula, random_team
 from .expressiveness import (
-    SynthTarget,
     dep_to_inql,
     synth_inql,
     synth_pd,

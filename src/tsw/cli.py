@@ -163,7 +163,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pool", default=DEFAULT_SEARCH_POOL, help="comma-separated atom pool")
     p.add_argument("--max-size", type=int, default=7, help="syntax-tree node bound (default 7)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     flag_json(p)
 
     p = cmd("conditions", "check the non-definability preconditions of a connective")
@@ -363,9 +362,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     elif args.command == "search":
         pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
         c = builtin_connective(args.connective)
-        report = search_contexts(
-            c, pool, args.max_size, jobs=args.jobs, seed=args.seed
-        )
+        report = search_contexts(c, pool, args.max_size, jobs=args.jobs)
         if args.json:
             print(json.dumps(report.to_json(), indent=2))
         else:
@@ -414,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Parsing, printing and some walks recurse once per nesting level.
+        # Substitution, syntax trees and hashing recurse once per level.
         print("error: formula nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except InternalInvariantError as e:

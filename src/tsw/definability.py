@@ -14,7 +14,10 @@ tree so that each node's team satisfies its instantiated label, ``&``
 nodes share their team with both children, and ``+`` nodes are the union
 of theirs.  Satisfaction of the whole instance is equivalent to the
 existence of such an assignment rooted at the given team, which is what
-lets global facts about a context be read off its leaves.
+lets global facts about a context be read off its leaves.  The truth
+functions built here take each ``+`` node's split from
+``semantics.tensor_split``: the largest left alternative whose remainder
+satisfies the right child.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +55,7 @@ from .formulas import (
     to_text,
     variables,
 )
-from .semantics import EvalSession, entails, equivalent, evaluate, var_set
+from .semantics import entails, equivalent, evaluate, tensor_split, var_set
 from .teams import Team, VarSet, enumerate_teams, full_team
 
 SEARCH_MAX_SIZE = 9
@@ -127,12 +130,17 @@ def is_consistent(phi: Formula) -> bool:
     """
     _require_pd(phi)
     inst = _top_instance(phi)
-    vars = var_set(inst)
-    session = EvalSession()
-    return any(
-        evaluate(inst, Team(vars, 1 << pattern), session)
-        for pattern in range(1 << len(vars))
-    )
+    return _consistency_witness(inst, var_set(inst)) is not None
+
+
+def _consistency_witness(phi: Formula, vars: VarSet) -> Optional[Team]:
+    """The first singleton team over ``vars`` satisfying ``phi``, or None
+    when only the empty team does."""
+    for pattern in range(1 << len(vars)):
+        team = Team(vars, 1 << pattern)
+        if evaluate(phi, team):
+            return team
+    return None
 
 
 # Instance pool for spot-checking that a rewritten context behaves like the
@@ -272,10 +280,9 @@ def verify_truth_function(
     for node_id, team in tau.assignment.items():
         if team.vars != vars:
             raise ValidationError(f"node {node_id} team is over a different variable set")
-    session = EvalSession()
     for node in tree.nodes:
         team = tau.assignment[node.id]
-        if not evaluate(substitute(node.formula, theta), team, session):
+        if not evaluate(substitute(node.formula, theta), team):
             return False
         if isinstance(node.formula, And):
             y, z = node.children
@@ -298,43 +305,51 @@ def find_truth_function(
 ) -> Optional[TruthFunction]:
     """A truth function rooted at ``X``, or None exactly when ``X`` does
     not satisfy the instantiated context.  The descent copies teams
-    through ``&`` nodes and takes the first satisfying complement split at
-    ``+`` nodes."""
+    through ``&`` nodes and splits them at ``+`` nodes by
+    ``tensor_split``."""
     _require_pd(phi)
-    inst = substitute(phi, theta)
-    session = EvalSession()
-    if not evaluate(inst, X, session):
+    if not evaluate(substitute(phi, theta), X):
         return None
     tree = syntax_tree(phi)
-    inst_of = {n.id: substitute(n.formula, theta) for n in tree.nodes}
-    assignment: dict[int, Team] = {}
+    return TruthFunction(tree, _descend(tree, theta, X))
 
-    def descend(node_id: int, mask: int) -> None:
+
+def _descend(
+    tree: SyntaxTree, theta: Sequence[Formula], X: Team, special: frozenset[int] = frozenset()
+) -> dict[int, Team]:
+    """Teams for every node, from ``X`` at the root down: ``&`` nodes hand
+    their team to both children, ``+`` nodes split it by ``tensor_split``.
+    At the ``special`` nodes, which must receive ``X``, an empty right side
+    is replaced by a singleton satisfying its child and the split is made
+    proper.  The left side is never empty there: the left child is
+    consistent, so a singleton satisfies it, and the split keeps the
+    largest left side."""
+    assignment: dict[int, Team] = {}
+    stack = [(tree.root, X)]
+    while stack:
+        node_id, team = stack.pop()
+        assignment[node_id] = team
         node = tree.node(node_id)
-        assignment[node_id] = Team(X.vars, mask)
         if not node.children:
-            return
+            continue
         y, z = node.children
         if isinstance(node.formula, And):
-            descend(y, mask)
-            descend(z, mask)
-            return
-        s = mask
-        while True:
-            if evaluate(inst_of[y], Team(X.vars, s), session) and evaluate(
-                inst_of[z], Team(X.vars, mask ^ s), session
-            ):
-                descend(y, s)
-                descend(z, mask ^ s)
-                return
-            if s == 0:
-                raise InternalInvariantError(
-                    "no satisfying split under a satisfied tensor"
-                )
-            s = (s - 1) & mask
-
-    descend(tree.root, X.mask)
-    return TruthFunction(tree, assignment)
+            stack += ((z, team), (y, team))
+            continue
+        left = tensor_split(substitute(node.formula, theta), team)
+        if left is None:
+            raise InternalInvariantError("no satisfying split under a satisfied tensor")
+        right = team.difference(left)
+        if node_id in special:
+            if team != X:
+                raise InternalInvariantError("a topmost tensor did not receive the full team")
+            if right.is_empty:
+                right = _consistency_witness(substitute(tree.node(z).formula, theta), X.vars)
+                if right is None:
+                    raise InternalInvariantError("no singleton satisfier for a consistent formula")
+            left, right = proper_split(team, left, right)
+        stack += ((z, right), (y, left))
+    return assignment
 
 
 def complete_from_leaves(
@@ -351,42 +366,24 @@ def complete_from_leaves(
     missing = [n.id for n in leaves if n.id not in leaf_assignment]
     if missing:
         raise ValidationError(f"leaf assignment missing leaves {missing}")
-    vars = None
+    if len({leaf_assignment[n.id].vars for n in leaves}) > 1:
+        raise ValidationError("leaf teams are over different variable sets")
     for n in leaves:
-        team = leaf_assignment[n.id]
-        if vars is None:
-            vars = team.vars
-        elif team.vars != vars:
-            raise ValidationError("leaf teams are over different variable sets")
-    session = EvalSession()
-    for n in leaves:
-        if not evaluate(substitute(n.formula, theta), leaf_assignment[n.id], session):
+        if not evaluate(substitute(n.formula, theta), leaf_assignment[n.id]):
             raise ValidationError(
                 f"leaf {n.id} ({to_text(n.formula)}) does not satisfy its label"
             )
 
+    # Node ids are in pre-order, so children come after their parent.
     assignment: dict[int, Team] = {}
-
-    def up(node_id: int) -> Optional[Team]:
-        node = tree.node(node_id)
+    for node in reversed(tree.nodes):
         if not node.children:
-            team = leaf_assignment[node_id]
-        else:
-            y = up(node.children[0])
-            z = up(node.children[1])
-            if y is None or z is None:
-                return None
-            if isinstance(node.formula, And):
-                if y != z:
-                    return None
-                team = y
-            else:
-                team = y.union(z)
-        assignment[node_id] = team
-        return team
-
-    if up(tree.root) is None:
-        return None
+            assignment[node.id] = leaf_assignment[node.id]
+            continue
+        y, z = (assignment[child] for child in node.children)
+        if isinstance(node.formula, And) and y != z:
+            return None
+        assignment[node.id] = y.union(z)  # y == z under "&"
     tau = TruthFunction(tree, assignment)
     if not verify_truth_function(tau, phi, theta):
         raise InternalInvariantError(
@@ -430,16 +427,6 @@ def leaf_tensor_ancestor_check(phi: Formula) -> dict[int, bool]:
     }
 
 
-def _consistency_witness(phi: Formula, vars: VarSet, session: EvalSession) -> Team:
-    """The first singleton team over ``vars`` satisfying ``phi`` (which
-    must be consistent with variables inside ``vars``)."""
-    for pattern in range(1 << len(vars)):
-        team = Team(vars, 1 << pattern)
-        if evaluate(phi, team, session):
-            return team
-    raise InternalInvariantError("no singleton satisfier for a consistent formula")
-
-
 def build_reduced_truth_function(phi: Formula, N: VarSet) -> TruthFunction:
     """A truth function for the all-``top`` instance over the full team on
     ``N`` that keeps every placeholder leaf's team a proper subteam.
@@ -469,60 +456,18 @@ def build_reduced_truth_function(phi: Formula, N: VarSet) -> TruthFunction:
         if v not in N:
             raise ValidationError(f"context variable {v.name!r} outside the given set")
     X = full_team(N)
-    session = EvalSession()
-    if not evaluate(inst, X, session):
+    if not evaluate(inst, X):
         raise ValidationError("the full team does not satisfy the all-top instance")
 
     tree = syntax_tree(phi)
     theta = [Top()] * max_placeholder(phi)
-    inst_of = {n.id: substitute(n.formula, theta) for n in tree.nodes}
-
     # The topmost tensor ancestor of each placeholder leaf.  Only "&"
     # nodes sit above these, so the descent hands them the full team.
-    special: set[int] = set()
-    for leaf in tree.placeholder_leaves():
-        topmost = None
-        for anc in tree.ancestors(leaf.id):
-            if isinstance(anc.formula, Tensor):
-                topmost = anc.id
-        if topmost is not None:
-            special.add(topmost)
-
-    assignment: dict[int, Team] = {}
-
-    def descend(node_id: int, team: Team) -> None:
-        node = tree.node(node_id)
-        assignment[node_id] = team
-        if not node.children:
-            return
-        y, z = node.children
-        if isinstance(node.formula, And):
-            descend(y, team)
-            descend(z, team)
-            return
-        mask = team.mask
-        s = mask
-        while True:
-            if evaluate(inst_of[y], Team(N, s), session) and evaluate(
-                inst_of[z], Team(N, mask ^ s), session
-            ):
-                break
-            if s == 0:
-                raise InternalInvariantError("no satisfying split under a satisfied tensor")
-            s = (s - 1) & mask
-        left, right = Team(N, s), Team(N, mask ^ s)
-        if node_id in special:
-            if team != X:
-                raise InternalInvariantError("a topmost tensor did not receive the full team")
-            if left.is_empty:
-                left = _consistency_witness(inst_of[y], N, session)
-            if right.is_empty:
-                right = _consistency_witness(inst_of[z], N, session)
-            left, right = proper_split(team, left, right)
-        descend(y, left)
-        descend(z, right)
-
-    descend(tree.root, X)
+    special = frozenset(
+        next(a.id for a in reversed(tree.ancestors(leaf.id)) if isinstance(a.formula, Tensor))
+        for leaf in tree.placeholder_leaves()
+    )
+    assignment = _descend(tree, theta, X, special)
     tau = TruthFunction(tree, assignment)
     if not verify_truth_function(tau, phi, theta):
         raise InternalInvariantError("reduced construction failed verification")
@@ -625,9 +570,8 @@ def _refute_or_none(
         vars = var_set(lhs_formula)
         for inst in instances:
             vars = vars.union(var_set(inst))
-        session = EvalSession()
         for team in enumerate_teams(vars):
-            lhs = evaluate(lhs_formula, team, session)
+            lhs = evaluate(lhs_formula, team)
             rhs = c.evaluate(instances, team)
             if lhs != rhs:
                 return Counterexample(phi, c, instances, vars, team, lhs, rhs)
@@ -683,6 +627,15 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
     if len(set(texts)) != len(texts):
         raise ValidationError("atom pool contains duplicates")
 
+    printed: dict[int, list[tuple[Formula, str]]] = {}
+
+    def with_texts(size: int) -> list[tuple[Formula, str]]:
+        """The contexts of one size beside their texts, printed once each
+        (only sizes used as parts are printed)."""
+        if size not in printed:
+            printed[size] = [(f, to_text(f)) for f in by_size(size)]
+        return printed[size]
+
     def by_size(size: int) -> list[Formula]:
         key = (tuple(texts), size)
         got = _enum_cache.get(key)
@@ -695,10 +648,9 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
             for left_size in range(1, size - 1, 2):
                 right_size = size - 1 - left_size
                 for op in (And, Tensor):
-                    for lhs in by_size(left_size):
-                        lhs_text = to_text(lhs)
-                        for rhs in by_size(right_size):
-                            if lhs_text <= to_text(rhs):
+                    for lhs, lhs_text in with_texts(left_size):
+                        for rhs, rhs_text in with_texts(right_size):
+                            if lhs_text <= rhs_text:
                                 out.append(op(lhs, rhs))
         _enum_cache[key] = out
         return out
@@ -714,7 +666,6 @@ class SearchReport:
     connective: str
     pool: list[str]
     max_size: int
-    seed: int
     total: int = 0
     refuted: int = 0
     by_instance: dict[str, int] = field(default_factory=dict)
@@ -722,17 +673,7 @@ class SearchReport:
     elapsed_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "connective": self.connective,
-            "pool": self.pool,
-            "max_size": self.max_size,
-            "seed": self.seed,
-            "total": self.total,
-            "refuted": self.refuted,
-            "by_instance": self.by_instance,
-            "unrefuted": self.unrefuted,
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 def _search_one(candidate: Formula, name: str, arity: int) -> Optional[str]:
@@ -753,7 +694,6 @@ def search_contexts(
     max_size: int,
     *,
     jobs: int = 1,
-    seed: int = 0,
 ) -> SearchReport:
     """Run the refutation battery over every context up to ``max_size``
     and tally which instance dispatched each.  Candidates the battery
@@ -769,7 +709,7 @@ def search_contexts(
     start = time.perf_counter()
     candidates = enumerate_contexts(atom_pool, max_size)
     report = SearchReport(
-        connective=c.name, pool=pool_texts, max_size=max_size, seed=seed, total=len(candidates)
+        connective=c.name, pool=pool_texts, max_size=max_size, total=len(candidates)
     )
     worker = partial(_search_one, name=c.name, arity=c.arity)
     if jobs > 1:
@@ -798,12 +738,7 @@ class ConditionWitness:
     instances: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "detail": self.detail,
-            "instances": self.instances,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -38,21 +38,12 @@ from .semantics import (
 )
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
 
-# Synthesis targets are the two proper fragments; PT0 needs no synthesis
-# of its own (anything either synthesizer emits already lives in it).
-SynthTarget = Fragment
-
-
-def _fold(op, parts: Sequence[Formula]) -> Formula:
-    return reduce(op, parts)
-
-
 def _valuation_literal(pattern: int, vars: VarSet) -> Formula:
     """Conjunction of literals pinning each variable to its bit in ``pattern``."""
     lits: list[Formula] = [
         PosVar(v) if (pattern >> i) & 1 else NegVar(v) for i, v in enumerate(vars)
     ]
-    return _fold(And, lits)
+    return reduce(And, lits)
 
 
 def theta_star(X: Team, N: Optional[VarSet] = None, *, raw: bool = False) -> Formula:
@@ -75,7 +66,7 @@ def theta_star(X: Team, N: Optional[VarSet] = None, *, raw: bool = False) -> For
     m = X.size - 1
     copies: list[Formula] = []
     if m:
-        constancy = _fold(And, [Dep((), v) for v in N])
+        constancy = reduce(And, [Dep((), v) for v in N])
         copies = [constancy] * m
     npat = 1 << len(N)
     lits = [
@@ -84,11 +75,11 @@ def theta_star(X: Team, N: Optional[VarSet] = None, *, raw: bool = False) -> For
         if not (X.mask >> pattern) & 1
     ]
     if raw:
-        left = _fold(Tensor, copies) if copies else Bottom()
-        right = _fold(Tensor, lits) if lits else Bottom()
+        left = reduce(Tensor, copies) if copies else Bottom()
+        right = reduce(Tensor, lits) if lits else Bottom()
         return Tensor(left, right)
     parts = copies + lits
-    return _fold(Tensor, parts) if parts else Bottom()
+    return reduce(Tensor, parts) if parts else Bottom()
 
 
 def _validate_family(K: TeamFamily) -> None:
@@ -128,12 +119,12 @@ def synth_pd(
             if len(kept) == 1:
                 break
             trial = kept[:i] + kept[i + 1 :]
-            if _truth_indicator(_fold(And, trial), K.vars) == target:
+            if _truth_indicator(reduce(And, trial), K.vars) == target:
                 kept = trial
             else:
                 i += 1
         conjuncts = kept
-    return _fold(And, conjuncts)
+    return reduce(And, conjuncts)
 
 
 def _inql_literal(pattern: int, vars: VarSet) -> Formula:
@@ -143,7 +134,7 @@ def _inql_literal(pattern: int, vars: VarSet) -> Formula:
         PosVar(v) if (pattern >> i) & 1 else Impl(PosVar(v), Bottom())
         for i, v in enumerate(vars)
     ]
-    return _fold(And, lits)
+    return reduce(And, lits)
 
 
 def _classical_or(a: Formula, b: Formula) -> Formula:
@@ -157,7 +148,7 @@ def _flat_description(X: Team) -> Formula:
     if X.is_empty:
         return Bottom()
     descriptions = [_inql_literal(val.bits, X.vars) for val in X.members()]
-    return _fold(_classical_or, descriptions)
+    return reduce(_classical_or, descriptions)
 
 
 def synth_inql(
@@ -172,10 +163,10 @@ def synth_inql(
     _validate_family(K)
     _check_cap(len(K.vars), max_vars, force, "synthesis")
     branches = [_flat_description(X) for X in K.maximal_teams()]
-    return _fold(IDisj, branches)
+    return reduce(IDisj, branches)
 
 
-def _resolve_target(target: Union[SynthTarget, str]) -> SynthTarget:
+def _resolve_target(target: Union[Fragment, str]) -> Fragment:
     if isinstance(target, str):
         try:
             target = Fragment(target.lower())
@@ -188,7 +179,7 @@ def _resolve_target(target: Union[SynthTarget, str]) -> SynthTarget:
 
 def translate(
     phi: Formula,
-    target: Union[SynthTarget, str],
+    target: Union[Fragment, str],
     *,
     max_vars: int = DEFAULT_MAX_VARS,
     force: bool = False,
@@ -213,5 +204,5 @@ def dep_to_inql(args: Sequence[Variable], target: Variable) -> Formula:
     consequent = _settled(target)
     if not args:
         return consequent
-    antecedent = _fold(And, [_settled(a) for a in args])
+    antecedent = reduce(And, [_settled(a) for a in args])
     return Impl(antecedent, consequent)

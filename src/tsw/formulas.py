@@ -158,6 +158,7 @@ def fragment_check(phi: Formula, fragment: Fragment) -> bool:
 
 
 _GLYPH = {And: "&", Tensor: "+", IDisj: "|", Impl: "->"}
+_SPACED = {t: f" {g} " for t, g in _GLYPH.items()}
 
 
 def to_text(phi: Formula) -> str:
@@ -166,7 +167,26 @@ def to_text(phi: Formula) -> str:
     A child connective is parenthesized whenever it differs from its
     parent's connective; chains of one connective rely on the declared
     associativity (``&``, ``+``, ``|`` associate left, ``->`` right).
+    The walk keeps its own stack, so any depth prints.
     """
+    out: list[str] = []
+    stack: list = [phi]  # formulas still to print, and literal text
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is str:
+            out.append(f)
+        elif t in _GLYPH:
+            left, right = f.left, f.right
+            stack += (")", right, "(") if _wrapped(right, f, False) else (right,)
+            stack.append(_SPACED[t])
+            stack += (")", left, "(") if _wrapped(left, f, True) else (left,)
+        else:
+            out.append(_atom_text(f))
+    return "".join(out)
+
+
+def _atom_text(phi: Formula) -> str:
     if isinstance(phi, PosVar):
         return phi.var.name
     if isinstance(phi, NegVar):
@@ -179,26 +199,18 @@ def to_text(phi: Formula) -> str:
         if phi.args:
             return "=({};{})".format(",".join(a.name for a in phi.args), phi.target.name)
         return "=({})".format(phi.target.name)
-    if isinstance(phi, Placeholder):
-        return "r%d" % phi.index
-    op = _GLYPH[type(phi)]
-    return "{} {} {}".format(
-        _child_text(phi.left, phi, first=True),
-        op,
-        _child_text(phi.right, phi, first=False),
-    )
+    return "r%d" % phi.index
 
 
-def _child_text(child: Formula, parent: Formula, first: bool) -> str:
-    text = to_text(child)
+def _wrapped(child: Formula, parent: Formula, first: bool) -> bool:
+    """Whether ``child`` is parenthesized under ``parent``: a different
+    connective always is; the same one only against its associativity
+    (the right child of a left-associative chain, the left one of ``->``)."""
     if not isinstance(child, BINARY_NODES):
-        return text
+        return False
     if type(child) is not type(parent):
-        return "(" + text + ")"
-    if isinstance(parent, Impl):
-        # right-associative: bare right child, parenthesized left child
-        return "(" + text + ")" if first else text
-    return text if first else "(" + text + ")"
+        return True
+    return first == isinstance(parent, Impl)
 
 
 def subformulas(phi: Formula) -> list[Formula]:

@@ -19,6 +19,10 @@ In the default mode negation is only legal immediately before a variable
 (it forms a negated-variable atom).  ``parse(text, mode="inql")`` instead
 reads ``~x`` as sugar for ``x -> bot``, applied to any unit, which keeps
 the result inside the InqL fragment.
+
+Parentheses (and, in InqL mode, negations) may nest at most
+``MAX_NESTING_DEPTH`` deep; deeper input raises ``ParseError`` rather
+than exhausting Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ _TOKEN_RE = re.compile(
 
 _PLACEHOLDER_RE = re.compile(r"r([0-9]+)\Z")
 
+# Each level of nesting costs the parser about six stack frames.
+MAX_NESTING_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -82,6 +89,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.mode = mode
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -104,12 +112,23 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
         return out
 
+    def nested(self, parse_inner, tok: _Token) -> Formula:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.pos)
+        out = parse_inner()
+        self.depth -= 1
+        return out
+
     def impl(self) -> Formula:
-        left = self.idisj()
-        if self.peek().kind == "arrow":
+        parts = [self.idisj()]
+        while self.peek().kind == "arrow":
             self.take()
-            return Impl(left, self.impl())
-        return left
+            parts.append(self.idisj())
+        out = parts.pop()
+        while parts:
+            out = Impl(parts.pop(), out)
+        return out
 
     def idisj(self) -> Formula:
         out = self.tensor()
@@ -136,7 +155,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.take()
-            out = self.impl()
+            out = self.nested(self.impl, tok)
             self.expect(")")
             return out
         return self.atom()
@@ -145,7 +164,7 @@ class _Parser:
         tok = self.take()
         if tok.kind == "neg":
             if self.mode == "inql":
-                return Impl(self.unit(), Bottom())
+                return Impl(self.nested(self.unit, tok), Bottom())
             ident = self.peek()
             if ident.kind != "ident":
                 raise ParseError("negation applies only to a variable", ident.pos)

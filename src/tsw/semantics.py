@@ -20,8 +20,11 @@ subteams, and these antichains compose clause by clause.  For
 ``evaluate`` (and so ``valid``), one iterative walk decides the root on X
 itself, passing through ``&`` and ``|``; each ``+`` or ``->`` on that
 path takes the alternatives of its two children (within X) and compares
-them, so no subteam of X is ever enumerated.  Antichains can blow up, so
-a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
+them, so no subteam of X is ever enumerated.  ``tensor_split`` takes a
+split of X for a ``+`` from the same comparison: the largest left
+alternative whose remainder in X satisfies the right side, which is the
+split the truth functions of ``definability`` use.  Antichains can blow
+up, so a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
 alternatives raises ``CapExceededError`` instead.
 
 ``truth_set``, ``entails`` and ``equivalent`` take the alternatives of
@@ -90,44 +93,6 @@ def _check_cap(n: int, max_vars: int, force: bool, what: str) -> None:
         raise CapExceededError(f"{what} over {n} variables exceeds the cap of {cap}{hint}")
 
 
-class EvalSession:
-    """Memo of root verdicts shared by repeated evaluations.
-
-    Verdicts are keyed by (formula object, team mask), so a session must
-    only be reused across teams over one variable set.  ``hits`` and
-    ``misses`` count the ``evaluate`` calls answered from the memo and
-    computed afresh.  Memoized and unmemoized answers agree; the session
-    only buys speed when the same query repeats.
-    """
-
-    def __init__(self):
-        self.memo: dict[tuple[int, int], bool] = {}
-        self.hits = 0
-        self.misses = 0
-        self._node_ids: dict[int, int] = {}
-        self._pins: list[Formula] = []
-        self._vars: Optional[VarSet] = None
-
-    def node_id(self, node: Formula) -> int:
-        key = id(node)
-        nid = self._node_ids.get(key)
-        if nid is None:
-            nid = len(self._node_ids)
-            self._node_ids[key] = nid
-            self._pins.append(node)  # keep ids stable while the session lives
-        return nid
-
-    @property
-    def teams_visited(self) -> int:
-        return len(self.memo)
-
-    def bind_vars(self, vars: VarSet) -> None:
-        if self._vars is None:
-            self._vars = vars
-        elif self._vars != vars:
-            raise ValidationError("an EvalSession cannot be shared across variable sets")
-
-
 # Pattern-space constants: for n variables there are 2^n valuation patterns.
 # _var_ones(n, i) has bit P set iff pattern P assigns 1 to variable i.
 _ones_cache: dict[tuple[int, int], int] = {}
@@ -146,29 +111,38 @@ def _var_ones(n: int, i: int) -> int:
     return got
 
 
-def evaluate(phi: Formula, team: Team, session: Optional[EvalSession] = None) -> bool:
-    """Whether ``team`` satisfies ``phi`` (which must be placeholder-free
-    with all its variables among the team's).
-
-    Raises ``CapExceededError`` when deciding needs more than
-    ``ALTERNATIVES_BUDGET`` candidate alternatives."""
+def _closed_on(phi: Formula, team: Team) -> set[Variable]:
+    """The variables of ``phi``, checked to be placeholder-free and among
+    the team's."""
     used, placeholder = scan_variables(phi)
     if placeholder:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
     missing = sorted(v.name for v in used if v not in team.vars)
     if missing:
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
-    if session is None:
-        return _Walk(team, used).verdict(phi)
-    session.bind_vars(team.vars)
-    key = (session.node_id(phi), team.mask)
-    got = session.memo.get(key)
-    if got is not None:
-        session.hits += 1
-        return got
-    session.misses += 1
-    out = session.memo[key] = _Walk(team, used).verdict(phi)
-    return out
+    return used
+
+
+def evaluate(phi: Formula, team: Team) -> bool:
+    """Whether ``team`` satisfies ``phi`` (which must be placeholder-free
+    with all its variables among the team's).
+
+    Raises ``CapExceededError`` when deciding needs more than
+    ``ALTERNATIVES_BUDGET`` candidate alternatives."""
+    return _Walk(team, _closed_on(phi, team)).verdict(phi)
+
+
+def tensor_split(phi: Tensor, team: Team) -> Optional[Team]:
+    """The left side of a split of ``team`` for ``phi = a + b``, whose
+    complement in ``team`` is the right side; None when ``team`` does not
+    satisfy ``phi``.
+
+    The left side is the largest mask among the alternatives of ``a`` that
+    leave a remainder satisfying ``b``.  Every satisfying left side lies
+    inside one of these, so it is also the first satisfying left side in
+    descending mask order."""
+    a = _Walk(team, _closed_on(phi, team)).split(phi)
+    return None if a is None else Team(team.vars, a)
 
 
 class _Walk:
@@ -220,14 +194,13 @@ class _Walk:
                 val = X == 0
             elif t is Dep:
                 val = not any(a and b for a, b in self.dep_classes(node))
-            elif t is Tensor or t is Impl:
+            elif t is Tensor:
+                val = self.split(node) is not None
+            elif t is Impl:
                 left = self.alternatives(node.left)
                 right = self.alternatives(node.right)
                 self.charge(len(left) * len(right))
-                if t is Tensor:
-                    val = any(X & ~(a | b) == 0 for a in left for b in right)
-                else:
-                    val = all(any(a & ~b == 0 for b in right) for a in left)
+                val = all(any(a & ~b == 0 for b in right) for a in left)
             else:
                 raise InternalInvariantError(f"unknown node {node!r}")
             while pending:
@@ -237,6 +210,18 @@ class _Walk:
                     break
             else:
                 return val
+
+    def split(self, node: Tensor) -> Optional[int]:
+        """The largest left alternative A such that some right alternative B
+        covers the rest of X (X inside A | B), or None."""
+        left = self.alternatives(node.left)
+        right = self.alternatives(node.right)
+        self.charge(len(left) * len(right))
+        X = self.X
+        for a in sorted(left, reverse=True):
+            if any(X & ~(a | b) == 0 for b in right):
+                return a
+        return None
 
     def alternatives(self, phi: Formula) -> list[int]:
         if type(phi) not in BINARY_NODES:

@@ -227,10 +227,6 @@ def full_team(vars: VarSet) -> Team:
     return Team(vars, (1 << (1 << len(vars))) - 1)
 
 
-def restrict(team: Team, sub: VarSet) -> Team:
-    return team.restrict(sub)
-
-
 def enumerate_teams(vars: VarSet, cap: int = TEAM_ENUM_CAP) -> Iterator[Team]:
     """All ``2^(2^|vars|)`` teams, smallest cardinality first, then by mask."""
     if len(vars) > cap:

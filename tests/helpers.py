@@ -90,6 +90,21 @@ def naive_tensor_holds(phi, psi, team, eval_fn=evaluate):
     return False
 
 
+def reference_split(phi, team):
+    """The left side of the first split of ``team`` for the tensor ``phi``
+    in descending subteam order, the right side being its complement; None
+    when no split satisfies both sides.  A plain scan over subteams, the
+    reference for the splits of ``tensor_split``."""
+    mask = s = team.mask
+    while True:
+        left, right = Team(team.vars, s), Team(team.vars, mask ^ s)
+        if evaluate(phi.left, left) and evaluate(phi.right, right):
+            return left
+        if s == 0:
+            return None
+        s = (s - 1) & mask
+
+
 def downward_closed_family_masks(npat):
     """All nonempty downward-closed families over ``npat`` patterns.
 

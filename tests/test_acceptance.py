@@ -35,7 +35,6 @@ from tsw.formulas import (
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
-    EvalSession,
     check_basic_properties,
     entails,
     equivalent,
@@ -111,10 +110,9 @@ def test_criterion_03_theta_law_exhaustive():
                 continue
             for raw in (False, True):
                 phi = theta_star(x, raw=raw)
-                sess = EvalSession()
                 for y in teams:
                     checks += 1
-                    if evaluate(phi, y, sess) != (not x.is_subteam_of(y)):
+                    if evaluate(phi, y) != (not x.is_subteam_of(y)):
                         failures += 1
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed < 5
@@ -176,10 +174,9 @@ def test_criterion_06_truth_functions_exhaustive():
         k = max_placeholder(c)
         for vec in itertools.product(INSTANCE_POOL, repeat=k):
             grounded = substitute(c, list(vec))
-            sess = EvalSession()
             for x in teams:
                 tau = find_truth_function(c, vec, x)
-                sat = evaluate(grounded, x, sess)
+                sat = evaluate(grounded, x)
                 if (tau is not None) != sat:
                     mismatches += 1
                 elif tau is not None and not verify_truth_function(tau, c, vec):

@@ -324,10 +324,18 @@ def test_vars_flag_rejects_empty_and_bad_names(capsys):
 
 
 def test_too_deep_nesting_exits_two(capsys):
-    code, out, err = run(capsys, "parse", "-f", "(" * 600 + "p" + ")" * 600)
+    # parses (a flat chain), but substitution recurses once per conjunct
+    code, out, err = run(capsys, "subst", "-c", " & ".join(["r1"] * 3000), "-f", "p")
     assert code == 2
     assert out == ""
     assert err == "error: formula nested too deeply for the recursion limit\n"
+
+
+def test_parse_past_the_nesting_depth_exits_one(capsys):
+    code, out, err = run(capsys, "parse", "-f", "(" * 600 + "p" + ")" * 600)
+    assert code == 1
+    assert out == ""
+    assert err == "error: nesting deeper than 100 levels (at position 100)\n"
 
 
 def test_valid_over_alternatives_budget_exits_two(capsys):

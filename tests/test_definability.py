@@ -26,10 +26,10 @@ from tsw.definability import (
 from tsw.errors import CapExceededError, ValidationError
 from tsw.formulas import Fragment, Tensor, Variable, to_text
 from tsw.parsing import parse
-from tsw.semantics import EvalSession, evaluate
+from tsw.semantics import evaluate
 from tsw.teams import Team, VarSet, enumerate_teams, full_team
 
-from .helpers import P, PQ, context_texts_bruteforce, st_formula
+from .helpers import P, PQ, context_texts_bruteforce, reference_split, st_formula
 
 p, q = Variable("p"), Variable("q")
 
@@ -139,15 +139,94 @@ def test_find_truth_function_iff_satisfaction_small_sweep():
     from tsw.formulas import substitute
 
     instances = (parse("p"), parse("!p"))
-    sess = EvalSession()
     for c in enumerate_contexts(SMALL_POOL, 3):
         grounded = substitute(c, instances)
         for x in enumerate_teams(P):
             tf = find_truth_function(c, instances, x)
-            assert (tf is not None) == evaluate(grounded, x, sess)
+            assert (tf is not None) == evaluate(grounded, x)
             if tf is not None:
                 assert verify_truth_function(tf, c, instances)
                 assert tf.root_team == x
+
+
+INSTANCES = tuple(parse(s) for s in ("bot", "top", "p", "!p", "=(p)"))
+INSTANCES_PQ = INSTANCES + tuple(parse(s) for s in ("q", "!q", "=(q)", "=(p;q)", "p + !q"))
+
+
+def _assert_reference_splits(tf, theta, special=()):
+    """Each node's children get the teams the reference split gives: at a
+    ``special`` node, with an empty side replaced by the first satisfying
+    singleton and the pair then made proper."""
+    from tsw.formulas import And, substitute
+
+    for node in tf.tree.nodes:
+        if not node.children:
+            continue
+        team = tf.team(node.id)
+        y, z = node.children
+        if isinstance(node.formula, And):
+            assert tf.team(y) == tf.team(z) == team
+            continue
+        left = reference_split(substitute(node.formula, theta), team)
+        right = team.difference(left)
+        if node.id in special:
+            for side, child in ((0, y), (1, z)):
+                if (left, right)[side].is_empty:
+                    inst = substitute(tf.tree.node(child).formula, theta)
+                    singletons = (x for x in enumerate_teams(team.vars) if x.size == 1)
+                    first = next(x for x in singletons if evaluate(inst, x))
+                    left, right = (first, right) if side == 0 else (left, first)
+            left, right = proper_split(team, left, right)
+        assert (tf.team(y), tf.team(z)) == (left, right)
+
+
+def test_truth_function_splits_match_the_reference_scan():
+    import itertools
+    import random
+
+    from tsw.formulas import max_placeholder
+
+    checked = 0
+    for c in enumerate_contexts(POOL, 5):
+        for vec in itertools.product(INSTANCES, repeat=max_placeholder(c)):
+            for x in enumerate_teams(P):
+                tf = find_truth_function(c, vec, x)
+                if tf is not None:
+                    assert tf.root_team == x
+                    _assert_reference_splits(tf, vec)
+                    checked += 1
+    rng = random.Random(20260905)
+    contexts = enumerate_contexts(POOL, 7)
+    teams = list(enumerate_teams(PQ))
+    for _ in range(1500):
+        c, x = rng.choice(contexts), rng.choice(teams)
+        vec = (rng.choice(INSTANCES_PQ), rng.choice(INSTANCES_PQ))
+        tf = find_truth_function(c, vec, x)
+        if tf is not None:
+            _assert_reference_splits(tf, vec)
+            checked += 1
+    assert checked > 5000
+
+
+def test_reduced_truth_function_splits_match_the_reference_scan():
+    from tsw.formulas import Top, max_placeholder
+
+    built = 0
+    for n in (P, PQ):
+        for c in enumerate_contexts(POOL, 5):
+            try:
+                tf = build_reduced_truth_function(c, n)
+            except ValidationError:
+                continue
+            tree = tf.tree
+            special = {
+                [a.id for a in tree.ancestors(leaf.id) if isinstance(a.formula, Tensor)][-1]
+                for leaf in tree.placeholder_leaves()
+            }
+            assert tf.root_team == full_team(n)
+            _assert_reference_splits(tf, [Top()] * max_placeholder(c), special)
+            built += 1
+    assert built > 100
 
 
 def test_verify_truth_function_rejects_tampering():
@@ -420,7 +499,6 @@ def test_search_or_pins():
         "connective": "or",
         "pool": ["r1", "r2", "bot", "top", "p", "!p", "=(p)"],
         "max_size": 3,
-        "seed": 0,
         "total": 63,
         "refuted": 63,
         "by_instance": {"bot,top": 41, "top,bot": 8, "theta,theta": 14},
@@ -525,7 +603,6 @@ def test_contexts_are_monotone_in_their_placeholders(c, phi):
     weaker = Tensor(phi, parse("top"))
     stronger_inst = [phi] * k
     weaker_inst = [weaker] * k
-    sess = EvalSession()
     for x in enumerate_teams(P):
-        if evaluate(substitute(c, stronger_inst), x, sess):
-            assert evaluate(substitute(c, weaker_inst), x, sess)
+        if evaluate(substitute(c, stronger_inst), x):
+            assert evaluate(substitute(c, weaker_inst), x)

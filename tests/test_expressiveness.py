@@ -5,7 +5,7 @@ from tsw.errors import ValidationError
 from tsw.expressiveness import dep_to_inql, synth_inql, synth_pd, theta_star, translate
 from tsw.formulas import Fragment, Variable, fragment_check, to_text, variables
 from tsw.parsing import parse
-from tsw.semantics import EvalSession, equivalent, evaluate, truth_set
+from tsw.semantics import equivalent, evaluate, truth_set
 from tsw.teams import (
     Team,
     TeamFamily,
@@ -43,16 +43,14 @@ def test_theta_law_one_variable():
 
 
 def test_theta_law_two_variables_raw_and_simplified():
-    sess_cache = {}
     for x in enumerate_teams(PQ):
         if x.is_empty:
             continue
         for raw in (False, True):
             phi = theta_star(x, raw=raw)
             assert fragment_check(phi, Fragment.PD)
-            sess = sess_cache.setdefault((x.mask, raw), EvalSession())
             for y in enumerate_teams(PQ):
-                assert evaluate(phi, y, sess) == (not x.is_subteam_of(y))
+                assert evaluate(phi, y) == (not x.is_subteam_of(y))
 
 
 def test_theta_shape_counts_copies():
@@ -154,8 +152,7 @@ def test_theta_by_exclusion_property(x):
         return
     phi = theta_star(x)
     supersets = [y for y in enumerate_teams(PQ) if x.is_subteam_of(y)]
-    sess = EvalSession()
-    assert all(not evaluate(phi, y, sess) for y in supersets)
+    assert all(not evaluate(phi, y) for y in supersets)
 
 
 def test_dep_translation_pins():

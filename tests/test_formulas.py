@@ -25,7 +25,7 @@ from tsw.formulas import (
     to_text,
     variables,
 )
-from tsw.parsing import parse
+from tsw.parsing import MAX_NESTING_DEPTH, parse
 
 from .helpers import st_formula
 
@@ -115,6 +115,27 @@ def test_parse_errors_carry_positions():
         parse("")
     with pytest.raises(ParseError):
         parse("=(p;q;r)")
+
+
+def test_to_text_round_trips_long_chains():
+    # texts are compared, because == on formulas recurses once per level
+    for glyph in ("&", "->"):
+        text = f" {glyph} ".join("pqr"[i % 3] for i in range(5000))
+        phi = parse(text)
+        assert to_text(phi) == text
+        assert to_text(parse(to_text(phi))) == text
+
+
+def test_parse_rejects_nesting_past_the_depth():
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 600 + "p" + ")" * 600)
+    assert exc.value.position == MAX_NESTING_DEPTH
+    with pytest.raises(ParseError):
+        parse("~" * 600 + "p", mode="inql")
+    bound = MAX_NESTING_DEPTH
+    assert parse("(" * bound + "p" + ")" * bound) == PosVar(p)
+    # the depth counts open parentheses, not all of them
+    assert to_text(parse(" & ".join(["(p | q)"] * (2 * bound)))).count("(") == 2 * bound
 
 
 @settings(max_examples=200)

@@ -9,7 +9,6 @@ from tsw.formulas import And, Fragment, IDisj, Impl, Tensor, Top, Variable
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
-    EvalSession,
     _alternatives,
     _bit_positions,
     _truth_indicator,
@@ -125,21 +124,19 @@ def test_split_against_naive_all_pairs(phi, psi, x):
 @given(st_formula([p, q], Fragment.PT0, max_leaves=6))
 def test_truth_set_matches_pointwise_evaluation(phi):
     ts = truth_set(phi)
-    sess = EvalSession()
     for x in enumerate_teams(ts.vars):
-        assert (x in ts) == evaluate(phi, x, sess)
+        assert (x in ts) == evaluate(phi, x)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st_formula([p, q], Fragment.PT0, max_leaves=6), st_team(PQ))
 def test_downward_closure_holds_everywhere(phi, x):
     # every connective in the language preserves closure under subteams
-    sess = EvalSession()
-    if evaluate(phi, x, sess):
+    if evaluate(phi, x):
         m = x.mask
         sub = m
         while True:
-            assert evaluate(phi, Team(PQ, sub), sess)
+            assert evaluate(phi, Team(PQ, sub))
             if sub == 0:
                 break
             sub = (sub - 1) & m
@@ -154,31 +151,6 @@ def test_three_variable_spot_checks():
         x = random_team(rng, n)
         ts = truth_set(phi, n)
         assert (x in ts) == evaluate(phi, x)
-
-
-def test_eval_session_memoisation_is_transparent():
-    phi = parse("(p + q) -> (=(p) + =(q))")
-    shared = EvalSession()
-    plain = [evaluate(phi, x) for x in enumerate_teams(PQ)]
-    memo = [evaluate(phi, x, shared) for x in enumerate_teams(PQ)]
-    assert plain == memo
-    again = [evaluate(phi, x, shared) for x in enumerate_teams(PQ)]
-    assert again == plain
-    assert shared.hits > 0
-
-
-def test_eval_session_rejects_mixed_varsets():
-    sess = EvalSession()
-    evaluate(parse("p"), full_team(P), sess)
-    with pytest.raises(ValidationError):
-        evaluate(parse("p"), full_team(PQ), sess)
-
-
-def test_eval_session_counters():
-    sess = EvalSession()
-    evaluate(parse("p & p"), full_team(P), sess)
-    assert sess.misses > 0
-    assert sess.teams_visited >= 1
 
 
 def test_truth_set_infers_vars_and_accepts_superset():
@@ -288,9 +260,8 @@ def test_properties_hold_for_random_formulas(phi):
 def test_locality_across_extensions():
     # verdicts only depend on the restriction to the formula's variables
     phi = parse("=(p) + !p")
-    sess = EvalSession()
     for x in enumerate_teams(PQ):
-        assert evaluate(phi, x) == evaluate(phi, x.restrict(P), sess)
+        assert evaluate(phi, x) == evaluate(phi, x.restrict(P))
 
 
 def test_evaluate_against_indicator_and_references():
