@@ -411,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Substitution, syntax trees and hashing recurse once per level.
+        # Substitution, subformulas and hashing recurse once per level.
         print("error: formula nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except InternalInvariantError as e:

@@ -14,10 +14,10 @@ tree so that each node's team satisfies its instantiated label, ``&``
 nodes share their team with both children, and ``+`` nodes are the union
 of theirs.  Satisfaction of the whole instance is equivalent to the
 existence of such an assignment rooted at the given team, which is what
-lets global facts about a context be read off its leaves.  The truth
-functions built here take each ``+`` node's split from
-``semantics.tensor_split``: the largest left alternative whose remainder
-satisfies the right child.
+lets global facts about a context be read off its leaves.  Truth
+functions, their verification and the refutation battery are bit tests on
+the alternatives of every node (``semantics.node_alternatives``), and
+every ``+`` split is ``semantics.largest_split``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -55,7 +56,14 @@ from .formulas import (
     to_text,
     variables,
 )
-from .semantics import entails, equivalent, evaluate, tensor_split, var_set
+from .semantics import (
+    entails,
+    equivalent,
+    evaluate,
+    largest_split,
+    node_alternatives,
+    var_set,
+)
 from .teams import Team, VarSet, enumerate_teams, full_team
 
 SEARCH_MAX_SIZE = 9
@@ -118,29 +126,31 @@ def _require_pd(phi: Formula) -> None:
         raise ValidationError("not a PD context: only '&', '+' and atoms are allowed")
 
 
-def _top_instance(phi: Formula) -> Formula:
-    return substitute(phi, [Top()] * max_placeholder(phi))
-
-
 def is_consistent(phi: Formula) -> bool:
     """Whether some nonempty team satisfies the all-``top`` instance.
 
-    Satisfaction of PD formulas is closed under subteams, so scanning the
+    Satisfaction of PD formulas is closed under subteams, so testing the
     singleton teams over the instance's own variables is exhaustive.
     """
     _require_pd(phi)
-    inst = _top_instance(phi)
-    return _consistency_witness(inst, var_set(inst)) is not None
+    vars = var_set(phi)
+    satisfied = _instance_test(syntax_tree(phi), phi, [Top()] * max_placeholder(phi), vars)
+    return any(satisfied(1 << pattern) for pattern in range(1 << len(vars)))
 
 
-def _consistency_witness(phi: Formula, vars: VarSet) -> Optional[Team]:
-    """The first singleton team over ``vars`` satisfying ``phi``, or None
-    when only the empty team does."""
-    for pattern in range(1 << len(vars)):
-        team = Team(vars, 1 << pattern)
-        if evaluate(phi, team):
-            return team
-    return None
+def _instance_test(
+    tree: SyntaxTree, phi: Formula, theta: Sequence[Formula], vars: VarSet
+) -> Callable[[int], bool]:
+    """Whether a team mask over ``vars`` satisfies the instance: whether it
+    lies inside an alternative of the root on the full team.  Past the
+    budget, each team is evaluated on its own, so that a scan that stops at
+    a small team still answers."""
+    try:
+        alts = node_alternatives(tree, theta, full_team(vars))[tree.root]
+    except CapExceededError:
+        inst = substitute(phi, theta)
+        return lambda mask: evaluate(inst, Team(vars, mask))
+    return lambda mask: any(mask & ~a == 0 for a in alts)
 
 
 # Instance pool for spot-checking that a rewritten context behaves like the
@@ -280,20 +290,25 @@ def verify_truth_function(
     for node_id, team in tau.assignment.items():
         if team.vars != vars:
             raise ValidationError(f"node {node_id} team is over a different variable set")
+    # Alternatives within the root team, recomputed here.  Nodes are
+    # checked in pre-order, each after its parent has checked that it lies
+    # inside the parent's team, so every team tested lies inside the root's.
+    alts = node_alternatives(tree, theta, tau.assignment[tree.root])
+    masks = {node_id: team.mask for node_id, team in tau.assignment.items()}
     for node in tree.nodes:
-        team = tau.assignment[node.id]
-        if not evaluate(substitute(node.formula, theta), team):
+        T = masks[node.id]
+        if not any(T & ~a == 0 for a in alts[node.id]):
             return False
         if isinstance(node.formula, And):
             y, z = node.children
-            if tau.assignment[y] != team or tau.assignment[z] != team:
+            if masks[y] != T or masks[z] != T:
                 return False
         elif isinstance(node.formula, Tensor):
             y, z = node.children
-            if tau.assignment[y].union(tau.assignment[z]) != team:
+            if masks[y] | masks[z] != T:
                 return False
         for child in node.children:
-            if not tau.assignment[child].is_subteam_of(team):
+            if masks[child] & ~T:
                 return False
     return True
 
@@ -306,50 +321,54 @@ def find_truth_function(
     """A truth function rooted at ``X``, or None exactly when ``X`` does
     not satisfy the instantiated context.  The descent copies teams
     through ``&`` nodes and splits them at ``+`` nodes by
-    ``tensor_split``."""
+    ``semantics.largest_split``."""
     _require_pd(phi)
-    if not evaluate(substitute(phi, theta), X):
-        return None
     tree = syntax_tree(phi)
-    return TruthFunction(tree, _descend(tree, theta, X))
+    alts = node_alternatives(tree, theta, X)
+    if X.mask not in alts[tree.root]:
+        return None
+    return TruthFunction(tree, _descend(tree, alts, X))
 
 
 def _descend(
-    tree: SyntaxTree, theta: Sequence[Formula], X: Team, special: frozenset[int] = frozenset()
+    tree: SyntaxTree, alts: list[list[int]], X: Team, special: frozenset[int] = frozenset()
 ) -> dict[int, Team]:
-    """Teams for every node, from ``X`` at the root down: ``&`` nodes hand
-    their team to both children, ``+`` nodes split it by ``tensor_split``.
-    At the ``special`` nodes, which must receive ``X``, an empty right side
-    is replaced by a singleton satisfying its child and the split is made
-    proper.  The left side is never empty there: the left child is
+    """Teams for every node, from ``X`` at the root down, given the node
+    alternatives within ``X``: ``&`` nodes hand their team to both
+    children, ``+`` nodes split it by ``largest_split``.  At the
+    ``special`` nodes, which must receive ``X``, an empty right side is
+    replaced by the first singleton satisfying its child and the split is
+    made proper.  The left side is never empty there: the left child is
     consistent, so a singleton satisfies it, and the split keeps the
     largest left side."""
-    assignment: dict[int, Team] = {}
-    stack = [(tree.root, X)]
+    masks: dict[int, int] = {}
+    stack = [(tree.root, X.mask)]
     while stack:
-        node_id, team = stack.pop()
-        assignment[node_id] = team
+        node_id, T = stack.pop()
+        masks[node_id] = T
         node = tree.node(node_id)
         if not node.children:
             continue
         y, z = node.children
         if isinstance(node.formula, And):
-            stack += ((z, team), (y, team))
+            stack += ((z, T), (y, T))
             continue
-        left = tensor_split(substitute(node.formula, theta), team)
+        left = largest_split(T, alts[y], alts[z])
         if left is None:
             raise InternalInvariantError("no satisfying split under a satisfied tensor")
-        right = team.difference(left)
+        right = T & ~left
         if node_id in special:
-            if team != X:
+            if T != X.mask:
                 raise InternalInvariantError("a topmost tensor did not receive the full team")
-            if right.is_empty:
-                right = _consistency_witness(substitute(tree.node(z).formula, theta), X.vars)
-                if right is None:
+            if not right:  # the lowest singleton the child's alternatives cover
+                right = reduce(or_, alts[z], 0)
+                right &= -right
+                if not right:
                     raise InternalInvariantError("no singleton satisfier for a consistent formula")
-            left, right = proper_split(team, left, right)
+            sides = proper_split(X, Team(X.vars, left), Team(X.vars, right))
+            left, right = sides[0].mask, sides[1].mask
         stack += ((z, right), (y, left))
-    return assignment
+    return {node_id: Team(X.vars, T) for node_id, T in masks.items()}
 
 
 def complete_from_leaves(
@@ -451,23 +470,23 @@ def build_reduced_truth_function(phi: Formula, N: VarSet) -> TruthFunction:
             "a placeholder leaf has no tensor ancestor after "
             "inconsistent-subformula elimination"
         )
-    inst = _top_instance(phi)
-    for v in variables(inst):
+    for v in variables(phi):
         if v not in N:
             raise ValidationError(f"context variable {v.name!r} outside the given set")
     X = full_team(N)
-    if not evaluate(inst, X):
-        raise ValidationError("the full team does not satisfy the all-top instance")
-
     tree = syntax_tree(phi)
     theta = [Top()] * max_placeholder(phi)
+    alts = node_alternatives(tree, theta, X)
+    if X.mask not in alts[tree.root]:
+        raise ValidationError("the full team does not satisfy the all-top instance")
+
     # The topmost tensor ancestor of each placeholder leaf.  Only "&"
     # nodes sit above these, so the descent hands them the full team.
     special = frozenset(
         next(a.id for a in reversed(tree.ancestors(leaf.id)) if isinstance(a.formula, Tensor))
         for leaf in tree.placeholder_leaves()
     )
-    assignment = _descend(tree, theta, X, special)
+    assignment = _descend(tree, alts, X, special)
     tau = TruthFunction(tree, assignment)
     if not verify_truth_function(tau, phi, theta):
         raise InternalInvariantError("reduced construction failed verification")
@@ -506,12 +525,7 @@ class Counterexample:
         }
 
 
-def _battery_vars(phi: Formula) -> VarSet:
-    inst = _top_instance(phi)
-    vars = var_set(inst)
-    if len(vars) == 0:
-        return VarSet((Variable("p1"),))
-    return vars
+_P1_VARS = VarSet((Variable("p1"),))
 
 
 def _battery(
@@ -556,25 +570,52 @@ def instance_label(instances: Sequence[Formula]) -> str:
     return ",".join(one(f) for f in instances)
 
 
+# Batteries by (connective, battery variables, extended), oldest dropped
+# first: each vector with the variables of its instances and, per variable
+# set of the teams, the connective's verdicts in enumerate_teams order, as
+# far as a scan has needed them.  So the connective side is computed once
+# per vector and variable set, not once per context.
+_BATTERY_CACHE_SIZE = 64
+_batteries: dict[tuple, list[tuple[tuple[Formula, ...], VarSet, dict]]] = {}
+
+
+def _cached_battery(c: ConnectiveSpec, nprime: VarSet, extended: bool) -> list[tuple]:
+    key = (c, nprime, extended)
+    if key not in _batteries:
+        if len(_batteries) >= _BATTERY_CACHE_SIZE:
+            del _batteries[next(iter(_batteries))]
+        _batteries[key] = [
+            (instances, reduce(VarSet.union, map(var_set, instances)), {})
+            for instances in _battery(c, nprime, extended)
+        ]
+    return _batteries[key]
+
+
 def _refute_or_none(
     phi: Formula, c: ConnectiveSpec, extended: bool = False
 ) -> Optional[Counterexample]:
+    """The first battery vector, and the first team in ``enumerate_teams``
+    order, on which the instance and the connective disagree.  The battery
+    is over the context's variables, or ``p1`` when it has none."""
     _require_pd(phi)
     if max_placeholder(phi) > c.arity:
         raise ValidationError(
             f"the context uses more placeholders than the connective's arity ({c.arity})"
         )
-    nprime = _battery_vars(phi)
-    for instances in _battery(c, nprime, extended):
-        lhs_formula = substitute(phi, instances)
-        vars = var_set(lhs_formula)
-        for inst in instances:
-            vars = vars.union(var_set(inst))
-        for team in enumerate_teams(vars):
-            lhs = evaluate(lhs_formula, team)
-            rhs = c.evaluate(instances, team)
-            if lhs != rhs:
-                return Counterexample(phi, c, instances, vars, team, lhs, rhs)
+    own = var_set(phi)
+    tree = syntax_tree(phi)
+    for instances, inst_vars, verdicts in _cached_battery(c, own or _P1_VARS, extended):
+        vars = own.union(inst_vars)
+        rhs_known = verdicts.setdefault(vars, [])
+        satisfied = None
+        for k, team in enumerate(enumerate_teams(vars)):
+            if satisfied is None:  # after enumerate_teams has checked its cap
+                satisfied = _instance_test(tree, phi, instances, vars)
+            if k == len(rhs_known):
+                rhs_known.append(c.evaluate(instances, team))
+            lhs = satisfied(team.mask)
+            if lhs != rhs_known[k]:
+                return Counterexample(phi, c, instances, vars, team, lhs, rhs_known[k])
     return None
 
 

@@ -281,6 +281,15 @@ def max_placeholder(phi: Formula) -> int:
     return idx[-1] if idx else 0
 
 
+def substituent(theta: Sequence[Formula], index: int) -> Formula:
+    """``theta[index-1]``, the substituent of placeholder ``r<index>``."""
+    if index > len(theta):
+        raise ValidationError(
+            f"missing substituent for placeholder r{index} (got {len(theta)} substituents)"
+        )
+    return theta[index - 1]
+
+
 def substitute(phi: Formula, theta: Sequence[Formula]) -> Formula:
     """Replace every ``Placeholder(i)`` leaf with ``theta[i-1]``.
 
@@ -288,12 +297,7 @@ def substitute(phi: Formula, theta: Sequence[Formula]) -> Formula:
     unused entries are fine.
     """
     if isinstance(phi, Placeholder):
-        if phi.index > len(theta):
-            raise ValidationError(
-                f"missing substituent for placeholder r{phi.index} "
-                f"(got {len(theta)} substituents)"
-            )
-        return theta[phi.index - 1]
+        return substituent(theta, phi.index)
     if isinstance(phi, BINARY_NODES):
         return type(phi)(substitute(phi.left, theta), substitute(phi.right, theta))
     return phi
@@ -345,21 +349,25 @@ class SyntaxTree:
 
 def syntax_tree(phi: Formula) -> SyntaxTree:
     """Build the occurrence tree of ``phi``: leaves are atom occurrences,
-    internal nodes are connective occurrences with exactly two children."""
-    records: list[dict] = []
-
-    def build(f: Formula, parent: Optional[int], depth: int) -> int:
-        my_id = len(records)
-        records.append({"formula": f, "parent": parent, "children": (), "depth": depth})
+    internal nodes are connective occurrences with exactly two children.
+    The walk keeps its own stack, so any depth builds."""
+    formulas: list[Formula] = []
+    parents: list[Optional[int]] = []
+    depths: list[int] = []
+    children: list[tuple[int, ...]] = []
+    stack: list[tuple[Formula, Optional[int], int]] = [(phi, None, 0)]
+    while stack:
+        f, parent, depth = stack.pop()
+        my_id = len(formulas)
+        formulas.append(f)
+        parents.append(parent)
+        depths.append(depth)
+        children.append(())
+        if parent is not None:
+            children[parent] += (my_id,)
         if isinstance(f, BINARY_NODES):
-            left = build(f.left, my_id, depth + 1)
-            right = build(f.right, my_id, depth + 1)
-            records[my_id]["children"] = (left, right)
-        return my_id
-
-    build(phi, None, 0)
-    nodes = tuple(
-        TreeNode(i, r["formula"], r["parent"], r["children"], r["depth"])
-        for i, r in enumerate(records)
+            stack.append((f.right, my_id, depth + 1))
+            stack.append((f.left, my_id, depth + 1))
+    return SyntaxTree(
+        tuple(map(TreeNode, range(len(formulas)), formulas, parents, children, depths))
     )
-    return SyntaxTree(nodes)

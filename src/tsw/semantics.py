@@ -20,12 +20,12 @@ subteams, and these antichains compose clause by clause.  For
 ``evaluate`` (and so ``valid``), one iterative walk decides the root on X
 itself, passing through ``&`` and ``|``; each ``+`` or ``->`` on that
 path takes the alternatives of its two children (within X) and compares
-them, so no subteam of X is ever enumerated.  ``tensor_split`` takes a
-split of X for a ``+`` from the same comparison: the largest left
-alternative whose remainder in X satisfies the right side, which is the
-split the truth functions of ``definability`` use.  Antichains can blow
-up, so a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
-alternatives raises ``CapExceededError`` instead.
+them, so no subteam of X is ever enumerated.  ``node_alternatives``
+gives the alternatives within X of every node of an instantiated context,
+from one walk, for the bit tests of ``definability``; ``largest_split`` is
+the one split rule for ``+``.  Antichains can blow up, so a walk that
+would form more than ``ALTERNATIVES_BUDGET`` candidate alternatives
+raises ``CapExceededError`` instead.
 
 ``truth_set``, ``entails`` and ``equivalent`` take the alternatives of
 the full team over their variables: the truth set is their down-set, one
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
@@ -56,11 +56,14 @@ from .formulas import (
     IDisj,
     Impl,
     NegVar,
+    Placeholder,
     PosVar,
+    SyntaxTree,
     Tensor,
     Top,
     Variable,
     scan_variables,
+    substituent,
     to_text,
 )
 from .teams import Team, TeamFamily, VarSet, full_team, maximal_masks
@@ -111,15 +114,19 @@ def _var_ones(n: int, i: int) -> int:
     return got
 
 
-def _closed_on(phi: Formula, team: Team) -> set[Variable]:
-    """The variables of ``phi``, checked to be placeholder-free and among
-    the team's."""
-    used, placeholder = scan_variables(phi)
+def _check_closed(used: set[Variable], placeholder: bool, team: Team) -> None:
     if placeholder:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
     missing = sorted(v.name for v in used if v not in team.vars)
     if missing:
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
+
+
+def _closed_on(phi: Formula, team: Team) -> set[Variable]:
+    """The variables of ``phi``, checked to be placeholder-free and among
+    the team's."""
+    used, placeholder = scan_variables(phi)
+    _check_closed(used, placeholder, team)
     return used
 
 
@@ -132,17 +139,50 @@ def evaluate(phi: Formula, team: Team) -> bool:
     return _Walk(team, _closed_on(phi, team)).verdict(phi)
 
 
-def tensor_split(phi: Tensor, team: Team) -> Optional[Team]:
-    """The left side of a split of ``team`` for ``phi = a + b``, whose
-    complement in ``team`` is the right side; None when ``team`` does not
-    satisfy ``phi``.
+def node_alternatives(
+    tree: SyntaxTree, theta: Sequence[Formula], team: Team
+) -> list[list[int]]:
+    """By node id, the alternatives within ``team`` of each node of ``tree``
+    with placeholder ``r<i>`` read as ``theta[i-1]``: a subteam T satisfies
+    the node when ``T & ~a == 0`` for one of them.  The instance is checked
+    as ``evaluate`` checks it, and the whole tree shares one budget."""
+    used = scan_variables(tree.nodes[tree.root].formula)[0]
+    placeholder = False
+    insts: dict[int, Formula] = {}
+    for node in tree.nodes:  # pre-order, as substitute meets the leaves
+        f = node.formula
+        if type(f) is Placeholder and f.index not in insts:
+            inst = insts[f.index] = substituent(theta, f.index)
+            vs, ph = scan_variables(inst)
+            used |= vs
+            placeholder = placeholder or ph
+    _check_closed(used, placeholder, team)
+    walk = _Walk(team, used)
+    bound = {i: walk.alternatives(inst) for i, inst in insts.items()}
+    alts: list[list[int]] = [[]] * len(tree.nodes)
+    for node in reversed(tree.nodes):  # ids are pre-order: children come later
+        f = node.formula
+        if node.children:
+            y, z = node.children
+            alts[node.id] = walk.combine(type(f), alts[y], alts[z])
+        elif type(f) is Placeholder:
+            alts[node.id] = bound[f.index]
+        else:
+            alts[node.id] = walk.atom_alternatives(f)
+    return alts
 
-    The left side is the largest mask among the alternatives of ``a`` that
-    leave a remainder satisfying ``b``.  Every satisfying left side lies
-    inside one of these, so it is also the first satisfying left side in
-    descending mask order."""
-    a = _Walk(team, _closed_on(phi, team)).split(phi)
-    return None if a is None else Team(team.vars, a)
+
+def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
+    """The left side of a split of team mask ``T`` for a tensor whose sides
+    have the alternatives ``left`` and ``right`` within a team containing
+    ``T`` (the right side is its complement), or None when there is none:
+    the largest left alternative restricted to ``T`` whose remainder a right
+    alternative covers.  Every satisfying left side lies inside one of
+    these, so it is also the first in descending mask order."""
+    for a in sorted({x & T for x in left}, reverse=True):
+        if any(T & ~(a | b) == 0 for b in right):
+            return a
+    return None
 
 
 class _Walk:
@@ -195,7 +235,10 @@ class _Walk:
             elif t is Dep:
                 val = not any(a and b for a, b in self.dep_classes(node))
             elif t is Tensor:
-                val = self.split(node) is not None
+                left = self.alternatives(node.left)
+                right = self.alternatives(node.right)
+                self.charge(len(left) * len(right))
+                val = largest_split(X, left, right) is not None
             elif t is Impl:
                 left = self.alternatives(node.left)
                 right = self.alternatives(node.right)
@@ -210,18 +253,6 @@ class _Walk:
                     break
             else:
                 return val
-
-    def split(self, node: Tensor) -> Optional[int]:
-        """The largest left alternative A such that some right alternative B
-        covers the rest of X (X inside A | B), or None."""
-        left = self.alternatives(node.left)
-        right = self.alternatives(node.right)
-        self.charge(len(left) * len(right))
-        X = self.X
-        for a in sorted(left, reverse=True):
-            if any(X & ~(a | b) == 0 for b in right):
-                return a
-        return None
 
     def alternatives(self, phi: Formula) -> list[int]:
         if type(phi) not in BINARY_NODES:
@@ -241,18 +272,21 @@ class _Walk:
                 continue
             right = done.pop()
             left = done.pop()
-            if t is IDisj:
-                self.charge(len(left) + len(right))
-                done.append(maximal_masks(left + right))
-            elif t is Impl:
-                done.append(self.implication_alternatives(left, right))
-            else:
-                self.charge(len(left) * len(right))
-                if t is And:
-                    done.append(maximal_masks([a & b for a in left for b in right]))
-                else:
-                    done.append(maximal_masks([a | b for a in left for b in right]))
+            done.append(self.combine(t, left, right))
         return done[0]
+
+    def combine(self, t: type, left: list[int], right: list[int]) -> list[int]:
+        """The alternatives of a binary node of type ``t`` from those of its
+        two children."""
+        if t is IDisj:
+            self.charge(len(left) + len(right))
+            return maximal_masks(left + right)
+        if t is Impl:
+            return self.implication_alternatives(left, right)
+        self.charge(len(left) * len(right))
+        if t is And:
+            return maximal_masks([a & b for a in left for b in right])
+        return maximal_masks([a | b for a in left for b in right])
 
     def atom_alternatives(self, node: Formula) -> list[int]:
         t = type(node)

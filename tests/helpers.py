@@ -94,7 +94,7 @@ def reference_split(phi, team):
     """The left side of the first split of ``team`` for the tensor ``phi``
     in descending subteam order, the right side being its complement; None
     when no split satisfies both sides.  A plain scan over subteams, the
-    reference for the splits of ``tensor_split``."""
+    reference for the splits of ``semantics.largest_split``."""
     mask = s = team.mask
     while True:
         left, right = Team(team.vars, s), Team(team.vars, mask ^ s)
@@ -103,6 +103,34 @@ def reference_split(phi, team):
         if s == 0:
             return None
         s = (s - 1) & mask
+
+
+def reference_refute(phi, c, extended=False):
+    """The first counterexample of the refutation battery, found by the
+    per-team loop: for each battery vector, the whole instance is built by
+    substitution and evaluated on every team over its variables and the
+    vector's, in ``enumerate_teams`` order, beside the connective's own
+    clause.  None when the battery is exhausted.  The reference for
+    ``definability._refute_or_none``."""
+    from tsw.definability import Counterexample, _battery
+    from tsw.formulas import max_placeholder, substitute
+    from tsw.semantics import var_set
+    from tsw.teams import enumerate_teams
+
+    nprime = var_set(substitute(phi, [Top()] * max_placeholder(phi)))
+    if len(nprime) == 0:
+        nprime = VarSet((Variable("p1"),))
+    for instances in _battery(c, nprime, extended):
+        lhs_formula = substitute(phi, instances)
+        vars = var_set(lhs_formula)
+        for inst in instances:
+            vars = vars.union(var_set(inst))
+        for team in enumerate_teams(vars):
+            lhs = evaluate(lhs_formula, team)
+            rhs = c.evaluate(instances, team)
+            if lhs != rhs:
+                return Counterexample(phi, c, instances, vars, team, lhs, rhs)
+    return None
 
 
 def downward_closed_family_masks(npat):

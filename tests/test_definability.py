@@ -29,7 +29,15 @@ from tsw.parsing import parse
 from tsw.semantics import evaluate
 from tsw.teams import Team, VarSet, enumerate_teams, full_team
 
-from .helpers import P, PQ, context_texts_bruteforce, reference_split, st_formula
+from .helpers import (
+    P,
+    PQ,
+    context_texts_bruteforce,
+    reference_refute,
+    reference_split,
+    st_formula,
+    subteams,
+)
 
 p, q = Variable("p"), Variable("q")
 
@@ -227,6 +235,115 @@ def test_reduced_truth_function_splits_match_the_reference_scan():
             _assert_reference_splits(tf, [Top()] * max_placeholder(c), special)
             built += 1
     assert built > 100
+
+
+def test_node_alternatives_match_evaluate_on_every_node_and_subteam():
+    import itertools
+    import random
+
+    from tsw.formulas import max_placeholder, substitute, syntax_tree
+    from tsw.semantics import node_alternatives
+
+    def check(c, vec, x):
+        tree = syntax_tree(c)
+        alts = node_alternatives(tree, vec, x)
+        for node in tree.nodes:
+            assert all(a & ~x.mask == 0 for a in alts[node.id])
+            inst = substitute(node.formula, vec)
+            for t in subteams(x):
+                assert any(t.mask & ~a == 0 for a in alts[node.id]) == evaluate(inst, t)
+        return len(tree)
+
+    checked = 0
+    for c in enumerate_contexts(POOL, 5):
+        for vec in itertools.product(INSTANCES, repeat=max_placeholder(c)):
+            for x in enumerate_teams(P):
+                checked += check(c, vec, x)
+    rng = random.Random(20261018)
+    contexts = enumerate_contexts(POOL, 7)
+    teams = list(enumerate_teams(PQ))
+    for _ in range(1500):
+        c, x = rng.choice(contexts), rng.choice(teams)
+        checked += check(c, (rng.choice(INSTANCES_PQ), rng.choice(INSTANCES_PQ)), x)
+    assert checked > 50000
+
+
+def test_node_alternatives_validate_as_evaluate_does():
+    from tsw.formulas import substitute, syntax_tree
+    from tsw.semantics import node_alternatives
+
+    cases = [
+        ("r1 + (r3 & q)", ["p"], PQ),  # a missing substituent
+        ("r1 & r2", ["p", "r2"], P),  # a placeholder left in the instance
+        ("(r1 & q) + s", ["t"], P),  # variables outside the team's
+    ]
+    for text, theta, vars in cases:
+        phi, theta = parse(text), [parse(t) for t in theta]
+        with pytest.raises(ValidationError) as expected:
+            evaluate(substitute(phi, theta), full_team(vars))
+        with pytest.raises(ValidationError) as got:
+            node_alternatives(syntax_tree(phi), theta, full_team(vars))
+        assert str(got.value) == str(expected.value)
+
+
+def test_refutation_matches_the_per_team_reference():
+    from tsw.definability import _refute_or_none
+
+    disj, imp = builtin_connective("or"), builtin_connective("imp")
+    contexts = enumerate_contexts(POOL, 7)
+    for c in (disj, imp):
+        for extended in (False, True):
+            for phi in contexts:
+                assert _refute_or_none(phi, c, extended) == reference_refute(phi, c, extended)
+    for phi in enumerate_contexts(POOL, 5):
+        assert _refute_or_none(phi, contra()) == reference_refute(phi, contra())
+    # Contexts with no variable share the battery variable p1 with those over
+    # p1 alone, but their teams range over other variables; and two variables.
+    mixed = tuple(parse(s) for s in ("r1", "r2", "p1", "q", "=(q;p1)", "bot", "top"))
+    for phi in enumerate_contexts(mixed, 5):
+        for c in (disj, imp, contra()):
+            assert _refute_or_none(phi, c, True) == reference_refute(phi, c, True)
+
+
+def test_refutation_keeps_the_connective_side_apart_per_variable_set():
+    from tsw.definability import ConnectiveSpec, _refute_or_none
+
+    # "r1" has no variable, so its battery is over p1 as for "p1 & r1",
+    # while its constant vectors range over the teams on no variable.  A
+    # clause that sees the team's variables tells the two apart.
+    odd = ConnectiveSpec("or", 2, lambda instances, team: len(team.vars) == 0 or team.is_empty)
+    for text in ("r1", "p1 & r1", "r1", "r1 + p1"):
+        phi = parse(text)
+        assert _refute_or_none(phi, odd) == reference_refute(phi, odd)
+
+
+def test_scans_past_the_budget_fall_back_to_single_teams():
+    from tsw.definability import _refute_or_none
+
+    # The alternatives of either tensor on the full team over p, q, r, s
+    # take 65,536 candidates, so the two together are past the budget; the
+    # scans stop at a singleton team.
+    dep = "=(p,q,r;s)"
+    phi = parse(f"({dep} + {dep}) & ({dep} + {dep}) & r1")
+    with pytest.raises(CapExceededError):
+        find_truth_function(phi, [parse("top")], full_team(VarSet.of("p", "q", "r", "s")))
+    for c in (builtin_connective("or"), builtin_connective("imp")):
+        assert _refute_or_none(phi, c) == reference_refute(phi, c)
+    assert is_consistent(phi)
+    assert not is_consistent(parse(f"({dep} + {dep}) & ({dep} + {dep}) & bot"))
+
+
+def test_verify_truth_function_judges_the_root_team_it_is_given():
+    phi = parse("r1 + r2")
+    theta = (parse("p"), parse("!p"))
+    one, zero = Team.from_rows(P, [[1]]), Team.from_rows(P, [[0]])
+    tf = find_truth_function(phi, theta, one)
+    assert verify_truth_function(tf, phi, theta)
+    # rooted at a team the search never saw: valid, then not
+    tf.assignment = {0: full_team(P), 1: one, 2: zero}
+    assert verify_truth_function(tf, phi, theta)
+    tf.assignment = {0: full_team(P), 1: full_team(P), 2: zero}
+    assert not verify_truth_function(tf, phi, theta)
 
 
 def test_verify_truth_function_rejects_tampering():

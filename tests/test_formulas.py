@@ -214,6 +214,17 @@ def test_syntax_tree_shape():
     assert [tree.nodes[i].depth for i in (0, 1, 2)] == [0, 1, 2]
 
 
+def test_syntax_tree_builds_long_chains():
+    # at the default recursion limit; a recursive build fails here
+    tree = syntax_tree(parse(" & ".join(["p"] * 5000)))
+    assert len(tree) == 9999
+    assert [n.id for n in tree.nodes] == list(range(9999))
+    assert tree.nodes[0].children == (1, 9998)
+    assert tree.nodes[9998].parent == 0 and tree.nodes[9998].depth == 1
+    assert max(n.depth for n in tree.nodes) == 4999
+    assert sum(1 for _ in tree.leaves()) == 5000
+
+
 def test_syntax_tree_placeholder_leaves_and_ancestors():
     tree = syntax_tree(parse("(r1 & p) + r2"))
     ph = tree.placeholder_leaves()
