@@ -12,7 +12,7 @@ translation between the two fragments.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -38,8 +38,11 @@ from .semantics import (
 )
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
 
+
+@lru_cache(maxsize=256)
 def _valuation_literal(pattern: int, vars: VarSet) -> Formula:
-    """Conjunction of literals pinning each variable to its bit in ``pattern``."""
+    """Conjunction of literals pinning each variable to its bit in ``pattern``.
+    Cached, so the ``theta_star`` conjuncts of one synthesis share it."""
     lits: list[Formula] = [
         PosVar(v) if (pattern >> i) & 1 else NegVar(v) for i, v in enumerate(vars)
     ]

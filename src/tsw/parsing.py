@@ -20,15 +20,18 @@ In the default mode negation is only legal immediately before a variable
 reads ``~x`` as sugar for ``x -> bot``, applied to any unit, which keeps
 the result inside the InqL fragment.
 
-Parentheses (and, in InqL mode, negations) may nest at most
-``MAX_NESTING_DEPTH`` deep; deeper input raises ``ParseError`` rather
-than exhausting Python's recursion limit.
+``parse`` scans the whole text with one regular expression, so a bad
+character is reported before any grammar error, and then builds the tree
+with one operator-precedence loop over the tokens; it does not recurse.
+Parentheses (and, in InqL mode, negations) may still nest at most
+``MAX_NESTING_DEPTH`` deep; deeper input raises ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 from .errors import ParseError
 from .formulas import (
@@ -38,176 +41,94 @@ from .formulas import (
     Formula,
     IDisj,
     Impl,
+    NegVar,
     Placeholder,
     PosVar,
-    NegVar,
     Tensor,
     Top,
     Variable,
 )
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<arrow>->)
-      | (?P<ident>[a-z][a-zA-Z0-9_]*)
-      | (?P<sym>[&+|()=;,])
-      | (?P<neg>[~!])
-    """,
-    re.VERBOSE,
-)
+# One match per token, whose group is its text; a character that starts no
+# token matches outside the group, so it reads as "".
+_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-zA-Z0-9_]*|[~!]|->|[&+|()=;,])|\S)")
+_SYMBOLS = frozenset(("", "(", ")", "~", "!", "=", ";", ",", "&", "+", "|", "->"))
+_NEGATIONS = ("~", "!")
 
 _PLACEHOLDER_RE = re.compile(r"r([0-9]+)\Z")
 
-# Each level of nesting costs the parser about six stack frames.
+# An input bound: the parser keeps its own stacks, but substitution,
+# subformulas and the formulas' ==/hash still recurse once per level.
 MAX_NESTING_DEPTH = 100
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "arrow", "ident", "neg", one of "&+|()=;,", or "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = m.group() if m.lastgroup == "sym" else m.lastgroup
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+# Binding power of each binary connective, and its node type by power.  An
+# incoming connective first builds every stacked one that binds at least as
+# tightly as it does (so "->", of power 0, builds none of its own kind).
+_POWER = {"&": 3, "+": 2, "|": 1, "->": 0}
+_NODE = (Impl, IDisj, Tensor, And)
+_OPEN = -1  # an open parenthesis on the operator stack
+_NEG = -2  # a pending InqL negation on the operator stack
 
 
-class _Parser:
-    def __init__(self, text: str, mode: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.mode = mode
-        self.depth = 0
+class _Tokens(list):
+    """The tokens of a text, then "" for its end; positions are found again
+    only for an error."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, text: str):
+        super().__init__(_TOKEN_RE.findall(text))
+        self.text = text
+        if "" in self:
+            m = next(m for m in _TOKEN_RE.finditer(text) if m[1] is None)
+            raise ParseError(f"unexpected character {m[0][-1]!r}", m.end() - 1)
+        self.append("")
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, i: int, message: str) -> ParseError:
+        ends = [m.end() for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, ends[i] - len(self[i]) if i < len(ends) else len(self.text))
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.take()
+    def expect(self, i: int, kind: str) -> str:
+        tok = self[i]
+        if tok == kind or (kind == "ident" and tok not in _SYMBOLS):
+            return tok
+        raise self.error(i, f"expected {kind!r}, found {tok or 'end of input'!r}")
 
-    def formula(self) -> Formula:
-        out = self.impl()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-        return out
+    def variable(self, i: int) -> Variable:
+        leaf = _leaf(self.expect(i, "ident"))
+        if type(leaf) is not PosVar:
+            raise self.error(i, f"reserved name {self[i]!r} cannot be a variable")
+        return leaf.var
 
-    def nested(self, parse_inner, tok: _Token) -> Formula:
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.pos)
-        out = parse_inner()
-        self.depth -= 1
-        return out
-
-    def impl(self) -> Formula:
-        parts = [self.idisj()]
-        while self.peek().kind == "arrow":
-            self.take()
-            parts.append(self.idisj())
-        out = parts.pop()
-        while parts:
-            out = Impl(parts.pop(), out)
-        return out
-
-    def idisj(self) -> Formula:
-        out = self.tensor()
-        while self.peek().kind == "|":
-            self.take()
-            out = IDisj(out, self.tensor())
-        return out
-
-    def tensor(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "+":
-            self.take()
-            out = Tensor(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unit()
-        while self.peek().kind == "&":
-            self.take()
-            out = And(out, self.unit())
-        return out
-
-    def unit(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            out = self.nested(self.impl, tok)
-            self.expect(")")
-            return out
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        if tok.kind == "neg":
-            if self.mode == "inql":
-                return Impl(self.nested(self.unit, tok), Bottom())
-            ident = self.peek()
-            if ident.kind != "ident":
-                raise ParseError("negation applies only to a variable", ident.pos)
-            return NegVar(self._variable(self.take()))
-        if tok.kind == "=":
-            return self._dep(tok)
-        if tok.kind == "ident":
-            if tok.text == "bot":
-                return Bottom()
-            if tok.text == "top":
-                return Top()
-            m = _PLACEHOLDER_RE.match(tok.text)
-            if m:
-                index = int(m.group(1))
-                if index == 0:
-                    raise ParseError("placeholder indices start at r1", tok.pos)
-                return Placeholder(index)
-            return PosVar(self._variable(tok))
-        raise ParseError(f"expected an atom, found {tok.text or 'end of input'!r}", tok.pos)
-
-    def _variable(self, tok: _Token) -> Variable:
-        if tok.text in ("bot", "top") or _PLACEHOLDER_RE.match(tok.text):
-            raise ParseError(f"reserved name {tok.text!r} cannot be a variable", tok.pos)
-        return Variable(tok.text)
-
-    def _dep(self, eq_tok: _Token) -> Formula:
-        self.expect("(")
-        names = [self._variable(self.expect("ident"))]
-        has_args = False
-        while self.peek().kind == ",":
-            self.take()
-            names.append(self._variable(self.expect("ident")))
-        if self.peek().kind == ";":
-            self.take()
-            has_args = True
-            target = self._variable(self.expect("ident"))
+    def dep(self, i: int) -> tuple[Dep, int]:
+        """The dependence atom whose ``(`` is token ``i``, and the index past it."""
+        self.expect(i, "(")
+        names = [self.variable(i + 1)]
+        i += 2
+        while self[i] == ",":
+            names.append(self.variable(i + 1))
+            i += 2
+        if self[i] == ";":
+            target = self.variable(i + 1)
+            i += 2
         elif len(names) > 1:
-            raise ParseError("expected ';' before the dependence target", self.peek().pos)
+            raise self.error(i, "expected ';' before the dependence target")
         else:
             target = names.pop()
-        self.expect(")")
-        args = tuple(names) if has_args else ()
-        return Dep(args, target)
+        self.expect(i, ")")
+        return Dep(tuple(names), target), i + 1
+
+
+@lru_cache(maxsize=1024)
+def _leaf(name: str) -> Optional[Formula]:
+    """The atom an identifier stands for; None for a placeholder numbered 0."""
+    if name == "bot":
+        return Bottom()
+    if name == "top":
+        return Top()
+    m = _PLACEHOLDER_RE.match(name)
+    if m:
+        index = int(m[1])
+        return Placeholder(index) if index else None
+    return PosVar(Variable(name))
 
 
 def parse(text: str, mode: str = "pt0") -> Formula:
@@ -218,4 +139,60 @@ def parse(text: str, mode: str = "pt0") -> Formula:
     """
     if mode not in ("pt0", "inql"):
         raise ValueError(f"unknown parse mode {mode!r}")
-    return _Parser(text, mode).formula()
+    inql = mode == "inql"
+    tokens = _Tokens(text)
+    out: list[Formula] = []  # operands
+    ops: list[int] = []  # binding powers, _OPEN and _NEG
+    depth = 0
+    i = 0
+    while True:
+        # an operand is due: open parentheses and InqL negations, then an atom
+        tok = tokens[i]
+        i += 1
+        if tok not in _SYMBOLS:
+            leaf = _leaf(tok)
+            if leaf is None:
+                raise tokens.error(i - 1, "placeholder indices start at r1")
+            out.append(leaf)
+        elif tok == "(" or (inql and tok in _NEGATIONS):
+            depth += 1
+            if depth > MAX_NESTING_DEPTH:
+                raise tokens.error(i - 1, f"nesting deeper than {MAX_NESTING_DEPTH} levels")
+            ops.append(_OPEN if tok == "(" else _NEG)
+            continue
+        elif tok in _NEGATIONS:
+            if tokens[i] in _SYMBOLS:
+                raise tokens.error(i, "negation applies only to a variable")
+            out.append(NegVar(tokens.variable(i)))
+            i += 1
+        elif tok == "=":
+            atom, i = tokens.dep(i)
+            out.append(atom)
+        else:
+            raise tokens.error(i - 1, f"expected an atom, found {tok or 'end of input'!r}")
+        # a unit is complete: negate it, then read connectives and closing
+        # parentheses until another operand is due
+        while True:
+            while ops and ops[-1] == _NEG:
+                ops.pop()
+                depth -= 1
+                out[-1] = Impl(out[-1], Bottom())
+            tok = tokens[i]
+            i += 1
+            power = _POWER.get(tok)
+            floor = 0 if power is None else power or 1
+            while ops and ops[-1] >= floor:
+                right = out.pop()
+                out[-1] = _NODE[ops.pop()](out[-1], right)
+            if power is not None:
+                ops.append(power)
+                break
+            if tok == ")" and ops:
+                ops.pop()
+                depth -= 1
+            elif not tok and not ops:
+                return out[0]
+            elif _OPEN in ops:
+                raise tokens.error(i - 1, f"expected ')', found {tok or 'end of input'!r}")
+            else:
+                raise tokens.error(i - 1, f"trailing input {tok!r}")

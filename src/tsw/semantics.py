@@ -324,14 +324,17 @@ class _Walk:
     def implication_alternatives(self, left: list[int], right: list[int]) -> list[int]:
         """The maximal Y inside X such that every left alternative A meets Y
         inside some right alternative B: intersect, over A, the choices of
-        (X minus A) | B, keeping only maximal candidates after each step."""
+        (X minus A) | B, keeping only maximal candidates after each step.
+        Only the maximal choices are kept, since a smaller choice only gives
+        smaller candidates."""
         cands = [self.X]
         for a in left:
             if any(a & ~b == 0 for b in right):
                 continue  # every choice keeps the whole of each candidate
             outside = self.X & ~a
-            self.charge(len(cands) * len(right))
-            cands = maximal_masks([y & (outside | b) for y in cands for b in right])
+            choices = maximal_masks([outside | b for b in right])
+            self.charge(len(cands) * len(choices))
+            cands = maximal_masks([y & c for y in cands for c in choices])
         return cands
 
 

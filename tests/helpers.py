@@ -6,9 +6,11 @@ these transcriptions on small inputs.
 """
 
 import itertools
+import re
 
 from hypothesis import strategies as st
 
+from tsw.errors import ParseError
 from tsw.formulas import (
     And,
     Bottom,
@@ -17,11 +19,13 @@ from tsw.formulas import (
     IDisj,
     Impl,
     NegVar,
+    Placeholder,
     PosVar,
     Tensor,
     Top,
     Variable,
 )
+from tsw.parsing import MAX_NESTING_DEPTH
 from tsw.semantics import evaluate
 from tsw.teams import Team, VarSet
 
@@ -131,6 +135,172 @@ def reference_refute(phi, c, extended=False):
             if lhs != rhs:
                 return Counterexample(phi, c, instances, vars, team, lhs, rhs)
     return None
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<arrow>->)
+      | (?P<ident>[a-z][a-zA-Z0-9_]*)
+      | (?P<sym>[&+|()=;,])
+      | (?P<neg>[~!])
+    """,
+    re.VERBOSE,
+)
+_REF_PLACEHOLDER_RE = re.compile(r"r([0-9]+)\Z")
+
+
+def _reference_tokens(text):
+    """(kind, text, pos) triples; kind is "arrow", "ident", "neg", one of
+    "&+|()=;,", or "end"."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            kind = m.group() if m.lastgroup == "sym" else m.lastgroup
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent, one method per grammar rule."""
+
+    def __init__(self, text, mode):
+        self.tokens = _reference_tokens(text)
+        self.i = 0
+        self.mode = mode
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return self.take()
+
+    def formula(self):
+        out = self.impl()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return out
+
+    def nested(self, parse_inner, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok[2])
+        out = parse_inner()
+        self.depth -= 1
+        return out
+
+    def impl(self):
+        parts = [self.idisj()]
+        while self.peek()[0] == "arrow":
+            self.take()
+            parts.append(self.idisj())
+        out = parts.pop()
+        while parts:
+            out = Impl(parts.pop(), out)
+        return out
+
+    def idisj(self):
+        out = self.tensor()
+        while self.peek()[0] == "|":
+            self.take()
+            out = IDisj(out, self.tensor())
+        return out
+
+    def tensor(self):
+        out = self.conj()
+        while self.peek()[0] == "+":
+            self.take()
+            out = Tensor(out, self.conj())
+        return out
+
+    def conj(self):
+        out = self.unit()
+        while self.peek()[0] == "&":
+            self.take()
+            out = And(out, self.unit())
+        return out
+
+    def unit(self):
+        tok = self.peek()
+        if tok[0] == "(":
+            self.take()
+            out = self.nested(self.impl, tok)
+            self.expect(")")
+            return out
+        return self.atom()
+
+    def atom(self):
+        tok = self.take()
+        kind, text, pos = tok
+        if kind == "neg":
+            if self.mode == "inql":
+                return Impl(self.nested(self.unit, tok), Bottom())
+            ident = self.peek()
+            if ident[0] != "ident":
+                raise ParseError("negation applies only to a variable", ident[2])
+            return NegVar(self.variable(self.take()))
+        if kind == "=":
+            return self.dep()
+        if kind == "ident":
+            if text == "bot":
+                return Bottom()
+            if text == "top":
+                return Top()
+            m = _REF_PLACEHOLDER_RE.match(text)
+            if m:
+                index = int(m.group(1))
+                if index == 0:
+                    raise ParseError("placeholder indices start at r1", pos)
+                return Placeholder(index)
+            return PosVar(self.variable(tok))
+        raise ParseError(f"expected an atom, found {text or 'end of input'!r}", pos)
+
+    def variable(self, tok):
+        if tok[1] in ("bot", "top") or _REF_PLACEHOLDER_RE.match(tok[1]):
+            raise ParseError(f"reserved name {tok[1]!r} cannot be a variable", tok[2])
+        return Variable(tok[1])
+
+    def dep(self):
+        self.expect("(")
+        names = [self.variable(self.expect("ident"))]
+        has_args = False
+        while self.peek()[0] == ",":
+            self.take()
+            names.append(self.variable(self.expect("ident")))
+        if self.peek()[0] == ";":
+            self.take()
+            has_args = True
+            target = self.variable(self.expect("ident"))
+        elif len(names) > 1:
+            raise ParseError("expected ';' before the dependence target", self.peek()[2])
+        else:
+            target = names.pop()
+        self.expect(")")
+        return Dep(tuple(names) if has_args else (), target)
+
+
+def reference_parse(text, mode="pt0"):
+    """The text grammar of ``tsw.parsing`` by recursive descent, with the
+    same results and the same ``ParseError`` messages and positions; the
+    reference for ``parse``.  Recurses about six frames per nesting level."""
+    if mode not in ("pt0", "inql"):
+        raise ValueError(f"unknown parse mode {mode!r}")
+    return _ReferenceParser(text, mode).formula()
 
 
 def downward_closed_family_masks(npat):

@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsw.errors import ParseError, ValidationError
 from tsw.formulas import (
@@ -27,7 +31,7 @@ from tsw.formulas import (
 )
 from tsw.parsing import MAX_NESTING_DEPTH, parse
 
-from .helpers import st_formula
+from .helpers import reference_parse, st_formula
 
 p, q, r = Variable("p"), Variable("q"), Variable("r")
 
@@ -136,6 +140,113 @@ def test_parse_rejects_nesting_past_the_depth():
     assert parse("(" * bound + "p" + ")" * bound) == PosVar(p)
     # the depth counts open parentheses, not all of them
     assert to_text(parse(" & ".join(["(p | q)"] * (2 * bound)))).count("(") == 2 * bound
+
+
+# the inputs of test_parse_errors_carry_positions and
+# test_parse_rejects_nesting_past_the_depth, and their neighbours
+PARSE_EDGE_CASES = [
+    "p & ",
+    "(p & q",
+    "p q",
+    "",
+    "=(p;q;r)",
+    "(" * 600 + "p" + ")" * 600,
+    "~" * 600 + "p",
+    "(" * MAX_NESTING_DEPTH + "p" + ")" * MAX_NESTING_DEPTH,
+    "(" * (MAX_NESTING_DEPTH + 1) + "p" + ")" * (MAX_NESTING_DEPTH + 1),
+    "~" * MAX_NESTING_DEPTH + "p",
+    "~" * (MAX_NESTING_DEPTH + 1) + "p",
+    "~(" * 50 + "p" + ")" * 50,
+    "~(" * 51 + "p" + ")" * 51,
+    " & ".join(["(p | q)"] * (2 * MAX_NESTING_DEPTH)),
+    ")",
+    "p)",
+    "p -> ",
+    "- p",
+    "!bot",
+    "!r1",
+    "r0",
+    "r01 & r00",
+    "=(bot)",
+    "=(p,q)",
+    "=(p,q;",
+    "=p",
+    "!(p & q)",
+    "p & é",
+    "(p + q) &\t\n!q",
+]
+_MUTATION_CHARS = "pq r0&+|()=;,~!->_AZé"
+
+
+def _parse_outcome(parser, text, mode):
+    try:
+        return parser(text, mode)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def _assert_parses_as_reference(text):
+    for mode in ("pt0", "inql"):
+        assert _parse_outcome(parse, text, mode) == _parse_outcome(reference_parse, text, mode), (
+            text,
+            mode,
+        )
+
+
+def _mutated(text, rng):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.4 and k < len(chars):
+            del chars[k]
+        elif roll < 0.8 or k == len(chars):
+            chars.insert(k, rng.choice(_MUTATION_CHARS))
+        else:
+            chars[k] = rng.choice(_MUTATION_CHARS)
+    return "".join(chars)
+
+
+def test_parse_matches_the_reference_on_edge_cases():
+    for text in PARSE_EDGE_CASES:
+        _assert_parses_as_reference(text)
+
+
+@settings(max_examples=300)
+@given(st_formula([p, q, r], Fragment.PT0), st.integers(0, 2**32))
+def test_parse_matches_the_reference_on_formulas_and_mutations(phi, seed):
+    text = to_text(phi)
+    _assert_parses_as_reference(text)
+    rng = random.Random(seed)
+    for _ in range(5):
+        _assert_parses_as_reference(_mutated(text, rng))
+
+
+def test_parse_does_not_recurse():
+    # 5,000 connectives of all four kinds between units, some of which nest
+    # as deep as the parser admits
+    rng = random.Random(7)
+    deep = "(" * MAX_NESTING_DEPTH + "p + q" + ")" * MAX_NESTING_DEPTH
+    units = {
+        "pt0": ["p", "!q", "=(p;q)", "(r | top)", "r1", deep],
+        "inql": ["p", "~q", "~(r -> p)", "~" * MAX_NESTING_DEPTH + "q", deep],
+    }
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    for mode, pool in units.items():
+        parts = [rng.choice(pool)]
+        for _ in range(5000):
+            parts += [rng.choice(("&", "+", "|", "->")), rng.choice(pool)]
+        text = " ".join(parts)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            phi = parse(text, mode)
+        finally:
+            sys.setrecursionlimit(limit)
+        # reference_parse recurses per nesting level only, to_text not at all
+        assert to_text(phi) == to_text(reference_parse(text, mode))
 
 
 @settings(max_examples=200)

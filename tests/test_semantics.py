@@ -11,6 +11,7 @@ from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
     _alternatives,
     _bit_positions,
+    _down_set,
     _truth_indicator,
     check_basic_properties,
     entails,
@@ -311,6 +312,25 @@ def test_judgments_against_indicator():
             force = len(both) == 4
             assert entails(phi, psi, force=force) == (ind_phi & ~ind_psi == 0), (phi, psi)
             assert equivalent(phi, psi, force=force) == (ind_phi == ind_psi), (phi, psi)
+
+
+def test_nested_implications_of_dependence_atoms_against_indicator():
+    # the implication's choices are pruned to their maximal ones before the
+    # product with its candidates; the walk answers these without the lattice
+    vs = VarSet.of("p", "q", "r", "s")
+    phi = parse("(=(p,r;s) -> =(q,r;s)) -> !q")
+    psi = parse("((=(p,r;s) -> =(q,r;s)) -> !q) | (top | !p) + q & !p")
+    chi = parse("(=(q,s;p) -> =(r,s;p)) -> r")
+    formulas = (phi, psi, chi, IDisj(chi, parse("p")))
+    indicators = [_truth_indicator(f, vs) for f in formulas]
+    for f, ind in zip(formulas, indicators):
+        alts = _alternatives(f, vs)
+        assert alts is not None and _down_set(alts, 16) == ind, f
+    for a, ind_a in zip(formulas, indicators):
+        for b, ind_b in zip(formulas, indicators):
+            assert entails(a, b, force=True) == (ind_a & ~ind_b == 0), (a, b)
+            assert equivalent(a, b, force=True) == (ind_a == ind_b), (a, b)
+    assert entails(phi, psi, force=True) and not entails(psi, phi, force=True)
 
 
 def test_judgments_fall_back_to_the_indicator_past_the_budget():
