@@ -6,13 +6,15 @@ Could a single context over '&' and '+' define the whole-team
 disjunction uniformly, so that plugging any two formulas into its
 slots always agrees with their '|'?  This script refutes candidate
 contexts one at a time, then sweeps every context up to a size bound
-and reports that none survives.  A semantic condition check explains
+and reports that none survives, then checks every size at once through
+the closure of the contexts' signatures.  A semantic condition check explains
 why: the candidates and the target disagree on basic entailment and
 preservation behavior.
 """
 
 from tsw.definability import (
     builtin_connective,
+    closure_check,
     condition_check,
     refute_uniform_definition,
     search_contexts,
@@ -44,6 +46,17 @@ for label, count in sorted(report.by_instance.items(), key=lambda kv: -kv[1])[:3
 # Same story for implication.
 imp = search_contexts(builtin_connective("imp"), pool, 5)
 print(f"implication sweep: {imp.refuted}/{imp.total} refuted")
+
+# Every size at once: contexts that agree on the battery share a signature,
+# and '&' and '+' combine signatures, so the signatures reachable from the
+# pool form a finite closure.  Neither connective's own is among them.
+for name in ("or", "imp"):
+    closure = closure_check(builtin_connective(name), pool)
+    verdict = "reachable" if closure.reachable else "unreachable"
+    print(
+        f"closure for {name!r}: {closure.signatures} signatures in "
+        f"{closure.rounds} rounds, the connective's own {verdict}"
+    )
 
 # The structural reasons, as checkable conditions with witnesses.
 cond = condition_check(builtin_connective("or"))

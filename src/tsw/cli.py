@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .definability import (
     build_reduced_truth_function,
     builtin_connective,
+    closure_check,
     condition_check,
     find_truth_function,
     is_consistent,
@@ -162,7 +163,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--connective", choices=["or", "imp"], required=True)
     p.add_argument("--pool", default=DEFAULT_SEARCH_POOL, help="comma-separated atom pool")
     p.add_argument("--max-size", type=int, default=7, help="syntax-tree node bound (default 7)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--closure",
+        action="store_true",
+        help="check every size: the signatures reachable from the pool (ignores --max-size)",
+    )
     flag_json(p)
 
     p = cmd("conditions", "check the non-definability preconditions of a connective")
@@ -359,10 +364,24 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             print(f"team: {json.dumps(ce.team.rows())} over {{{','.join(ce.vars.names())}}}")
             print(f"context gives {str(ce.lhs).lower()}, connective gives {str(ce.rhs).lower()}")
 
+    elif args.command == "search" and args.closure:
+        pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
+        report = closure_check(builtin_connective(args.connective), pool)
+        if args.json:
+            print(json.dumps(report.to_json(), indent=2))
+        else:
+            some = "one matches" if report.reachable else "none matches"
+            print(
+                f"{report.signatures} signatures reachable in {report.rounds} rounds; "
+                f"{some} {report.connective} on its battery"
+            )
+            for w in report.witnesses:
+                print(f"  {w['refuted_by'] or 'unrefuted'}: {w['context']}")
+
     elif args.command == "search":
         pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
         c = builtin_connective(args.connective)
-        report = search_contexts(c, pool, args.max_size, jobs=args.jobs)
+        report = search_contexts(c, pool, args.max_size)
         if args.json:
             print(json.dumps(report.to_json(), indent=2))
         else:

@@ -18,16 +18,27 @@ lets global facts about a context be read off its leaves.  Truth
 functions, their verification and the refutation battery are bit tests on
 the alternatives of every node (``semantics.node_alternatives``), and
 every ``+`` split is ``semantics.largest_split``.
+
+The bounded search and the closure check never build the contexts they
+count.  On the battery, a context's verdict depends only on its
+signature: the variables it uses and, per battery vector, the
+alternatives of the instance on the full team, a down-set's maximal
+members.  ``&`` takes the maximal pairwise intersections of its sides'
+alternatives and ``+`` the maximal pairwise unions (Yang & Väänänen,
+*Propositional logics of dependence*, APAL 2016; Ciardelli & Roelofsen,
+*Inquisitive logic*, JPL 2011), so ``search_contexts`` counts contexts
+per size and signature, and ``closure_check`` finds the signatures
+reachable at any size as a fixpoint.  The smallest context of each
+signature is refuted on its own as a check.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
-from operator import or_
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -62,11 +73,10 @@ from .semantics import (
     evaluate,
     largest_split,
     node_alternatives,
+    truth_set,
     var_set,
 )
-from .teams import Team, VarSet, enumerate_teams, full_team
-
-SEARCH_MAX_SIZE = 9
+from .teams import TEAM_ENUM_CAP, Team, VarSet, enumerate_teams, full_team, maximal_masks
 
 
 # --- Connectives ----------------------------------------------------------
@@ -150,6 +160,11 @@ def _instance_test(
     except CapExceededError:
         inst = substitute(phi, theta)
         return lambda mask: evaluate(inst, Team(vars, mask))
+    return _inside(alts)
+
+
+def _inside(alts: list[int]) -> Callable[[int], bool]:
+    """Whether a team mask lies inside one of the alternatives ``alts``."""
     return lambda mask: any(mask & ~a == 0 for a in alts)
 
 
@@ -606,17 +621,38 @@ def _refute_or_none(
     tree = syntax_tree(phi)
     for instances, inst_vars, verdicts in _cached_battery(c, own or _P1_VARS, extended):
         vars = own.union(inst_vars)
-        rhs_known = verdicts.setdefault(vars, [])
-        satisfied = None
-        for k, team in enumerate(enumerate_teams(vars)):
-            if satisfied is None:  # after enumerate_teams has checked its cap
-                satisfied = _instance_test(tree, phi, instances, vars)
-            if k == len(rhs_known):
-                rhs_known.append(c.evaluate(instances, team))
-            lhs = satisfied(team.mask)
-            if lhs != rhs_known[k]:
-                return Counterexample(phi, c, instances, vars, team, lhs, rhs_known[k])
+        found = _first_difference(
+            c, instances, vars, verdicts, _instance_test(tree, phi, instances, vars)
+        )
+        if found is not None:
+            return Counterexample(phi, c, instances, vars, *found)
     return None
+
+
+def _first_difference(
+    c: ConnectiveSpec,
+    instances: tuple[Formula, ...],
+    vars: VarSet,
+    verdicts: dict,
+    satisfied: Callable[[int], bool],
+) -> Optional[tuple[Team, bool, bool]]:
+    """The first team over ``vars``, in ``enumerate_teams`` order, on which
+    the instance, whose verdict on a team mask is ``satisfied``, and the
+    connective disagree on the vector ``instances``, with both verdicts.
+    ``verdicts`` caches the connective's verdicts per variable set."""
+    rhs_known = verdicts.setdefault(vars, [])
+    for k, team in enumerate(enumerate_teams(vars)):
+        if k == len(rhs_known):
+            rhs_known.append(c.evaluate(instances, team))
+        lhs = satisfied(team.mask)
+        if lhs != rhs_known[k]:
+            return team, lhs, rhs_known[k]
+    return None
+
+
+# The connectives whose batteries carry a completeness argument: they refute
+# every context.
+_REFUTED_BY_BATTERY = ("or", "imp")
 
 
 def refute_uniform_definition(
@@ -631,7 +667,7 @@ def refute_uniform_definition(
     must fall to some battery instance, and an exhausted battery means
     an evaluator bug, so it raises rather than returning None.
     """
-    if c.name not in ("or", "imp"):
+    if c.name not in _REFUTED_BY_BATTERY:
         raise ValidationError("refutation batteries exist for 'or' and 'imp' only")
     ce = _refute_or_none(phi, c, extended)
     if ce is None:
@@ -652,14 +688,10 @@ def verify_counterexample(ce: Counterexample) -> bool:
 
 # --- Bounded exhaustive search --------------------------------------------
 
-_enum_cache: dict[tuple[tuple[str, ...], int], list[Formula]] = {}
 
-
-def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Formula]:
-    """All PD formulas with at most ``max_size`` syntax-tree nodes whose
-    leaves come from ``atom_pool``, one representative per commutation
-    class of ``&`` and ``+`` (the printed left side never exceeds the
-    right)."""
+def _checked_pool(atom_pool: Sequence[Formula]) -> tuple[list[Formula], list[str]]:
+    """The pool's atoms and their texts; every entry must be an atom, and
+    no text may repeat."""
     pool = list(atom_pool)
     for a in pool:
         if not is_atom(a):
@@ -667,7 +699,17 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
     texts = [to_text(a) for a in pool]
     if len(set(texts)) != len(texts):
         raise ValidationError("atom pool contains duplicates")
+    return pool, texts
 
+
+def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Formula]:
+    """All PD formulas with at most ``max_size`` syntax-tree nodes whose
+    leaves come from ``atom_pool``, one representative per commutation
+    class of ``&`` and ``+`` (the printed left side never exceeds the
+    right).  The sides of each binary context are contexts listed before
+    it, the very same objects, and the leaves are the pool's own."""
+    pool, _ = _checked_pool(atom_pool)
+    made: dict[int, list[Formula]] = {}
     printed: dict[int, list[tuple[Formula, str]]] = {}
 
     def with_texts(size: int) -> list[tuple[Formula, str]]:
@@ -678,12 +720,10 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
         return printed[size]
 
     def by_size(size: int) -> list[Formula]:
-        key = (tuple(texts), size)
-        got = _enum_cache.get(key)
-        if got is not None:
-            return got
+        if size in made:
+            return made[size]
         if size == 1:
-            out = list(pool)
+            out = pool
         else:
             out = []
             for left_size in range(1, size - 1, 2):
@@ -693,13 +733,226 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
                         for rhs, rhs_text in with_texts(right_size):
                             if lhs_text <= rhs_text:
                                 out.append(op(lhs, rhs))
-        _enum_cache[key] = out
+        made[size] = out
         return out
 
     result: list[Formula] = []
     for size in range(1, max_size + 1, 2):
         result.extend(by_size(size))
     return result
+
+
+# A search that must list the contexts it leaves unrefuted enumerates them,
+# which this size bounds.
+LISTING_MAX_SIZE = 9
+# Searches for connectives whose batteries refute every context list none,
+# and are counted by signature alone, up to this size.
+SEARCH_MAX_SIZE = 31
+# Joining signatures costs time quadratic in their number, which grows fast
+# with the pool's variables (three variables pass this many by size 11).
+# Past this many, the closure and searches past LISTING_MAX_SIZE stop; up to
+# that size, a search does no more joins than enumeration would.
+MAX_SIGNATURES = 1_000
+
+
+def _canonical(alts: list[int]) -> tuple[int, ...]:
+    return tuple(sorted(maximal_masks(alts)))
+
+
+class _Signatures:
+    """The contexts over one atom pool, up to their verdicts on the battery
+    of one connective.
+
+    A context's *signature* is the set ``U`` of pool variables it uses and,
+    for every *frame* ``S``, per vector of the battery over ``S``, the
+    alternatives of the instance on the full team over ``S`` and the
+    vector's variables.  The frames are the variable sets containing ``U``
+    that contexts of at most ``max_leaves`` leaves use (any number when
+    None); past ``TEAM_ENUM_CAP`` variables, construction fails.  The
+    battery over ``U``, or over ``p1`` when ``U`` is empty, is the one
+    ``_refute_or_none`` runs, so the signature fixes the verdict.  On a
+    common team, ``&`` takes the maximal pairwise intersections of its
+    sides' alternatives and ``+`` their maximal pairwise unions, so the
+    signatures of two sides fix the signature of their join.  Signatures
+    are numbered in the order they are met, each with its verdict and the
+    first context met that has it."""
+
+    def __init__(
+        self,
+        c: ConnectiveSpec,
+        pool: Sequence[Formula],
+        max_leaves: Optional[int] = None,
+        max_signatures: Optional[int] = None,
+    ):
+        self.c = c
+        self._max_signatures = max_signatures
+        atoms = {var_set(a) for a in pool}
+        self._reach = set(atoms)
+        grown, leaves = atoms, 1
+        while True:
+            widest = max(map(len, self._reach))
+            if widest > TEAM_ENUM_CAP:
+                raise CapExceededError(
+                    f"enumerating teams over {widest} variables exceeds the cap of "
+                    f"{TEAM_ENUM_CAP}"
+                )
+            if not grown or leaves == max_leaves:
+                break
+            grown = {u.union(a) for u in grown for a in atoms} - self._reach
+            self._reach |= grown
+            leaves += 1
+        self.signatures: list[tuple[VarSet, dict[VarSet, tuple]]] = []
+        self.labels: list[Optional[str]] = []
+        self.witnesses: list[Formula] = []
+        self._ids: dict[tuple, int] = {}
+        self._joins: dict[tuple, int] = {}
+        self._frames: dict[VarSet, list[VarSet]] = {}
+        self._vectors: dict[VarSet, list[tuple]] = {}
+        self._instances: dict[tuple[Formula, VarSet], tuple[int, ...]] = {}
+        self.leaves = [self._leaf(atom) for atom in pool]
+
+    def frames(self, used: VarSet) -> list[VarSet]:
+        """The frames of a context over ``used``, ``used`` first."""
+        if used not in self._frames:
+            self._frames[used] = sorted(
+                (s for s in self._reach if used.is_subset(s)),
+                key=lambda s: (s != used, len(s), s.names()),
+            )
+        return self._frames[used]
+
+    def vectors(self, frame: VarSet) -> list[tuple]:
+        """The battery over ``frame``: each vector with the variables of its
+        teams and the connective's cached verdicts."""
+        if frame not in self._vectors:
+            self._vectors[frame] = [
+                (instances, frame.union(inst_vars), verdicts)
+                for instances, inst_vars, verdicts in _cached_battery(
+                    self.c, frame or _P1_VARS, False
+                )
+            ]
+        return self._vectors[frame]
+
+    def _intern(self, used: VarSet, alts: dict[VarSet, tuple], witness: Callable) -> int:
+        key = (used, tuple(alts.values()))
+        sid = self._ids.get(key)
+        if sid is None:
+            if len(self.signatures) == self._max_signatures:
+                raise CapExceededError(
+                    f"the contexts have more than {self._max_signatures} signatures"
+                )
+            sid = self._ids[key] = len(self.signatures)
+            self.signatures.append((used, alts))
+            self.witnesses.append(witness())
+            label = None
+            for (instances, vars, verdicts), own in zip(self.vectors(used), alts[used]):
+                if _first_difference(self.c, instances, vars, verdicts, _inside(own)):
+                    label = instance_label(instances)
+                    break
+            self.labels.append(label)
+        return sid
+
+    def _leaf(self, atom: Formula) -> int:
+        alts = {
+            frame: tuple(
+                self._alternatives(substitute(atom, instances), vars)
+                for instances, vars, _ in self.vectors(frame)
+            )
+            for frame in self.frames(var_set(atom))
+        }
+        return self._intern(var_set(atom), alts, lambda: atom)
+
+    def _alternatives(self, inst: Formula, vars: VarSet) -> tuple[int, ...]:
+        """The alternatives of an instantiated atom on the full team over
+        ``vars``.  Past the budget (a large substituent, such as the theta
+        of four variables), those of its truth set, bounded by the
+        variable cap."""
+        key = (inst, vars)
+        if key not in self._instances:
+            try:
+                tree = syntax_tree(inst)
+                alts = node_alternatives(tree, (), full_team(vars))[tree.root]
+            except CapExceededError:
+                alts = [t.mask for t in truth_set(inst, vars, force=True).maximal_teams()]
+            self._instances[key] = _canonical(alts)
+        return self._instances[key]
+
+    def join(self, op: type, a: int, b: int) -> int:
+        """The signature of ``op`` (``And`` or ``Tensor``) over contexts
+        with the signatures ``a`` and ``b``."""
+        key = (op, a, b) if a <= b else (op, b, a)
+        sid = self._joins.get(key)
+        if sid is None:
+            (used_a, alts_a), (used_b, alts_b) = self.signatures[a], self.signatures[b]
+            used = used_a.union(used_b)
+            pick = and_ if op is And else or_
+            alts = {
+                frame: tuple(
+                    _canonical([pick(x, y) for x in left for y in right])
+                    for left, right in zip(alts_a[frame], alts_b[frame])
+                )
+                for frame in self.frames(used)
+            }
+
+            def witness() -> Formula:
+                left, right = self.witnesses[a], self.witnesses[b]
+                if to_text(left) > to_text(right):
+                    left, right = right, left
+                return op(left, right)
+
+            sid = self._joins[key] = self._intern(used, alts, witness)
+        return sid
+
+    def check(self) -> None:
+        """Refute the witness of every signature met on its own, and
+        require the signature's verdict."""
+        for sid, phi in enumerate(self.witnesses):
+            ce = _refute_or_none(phi, self.c)
+            label = None if ce is None else instance_label(ce.instances)
+            if label != self.labels[sid]:
+                raise InternalInvariantError(
+                    f"{to_text(phi)}: the battery gives {label!r}, its signature "
+                    f"{self.labels[sid]!r}"
+                )
+            if ce is not None and not verify_counterexample(ce):
+                raise InternalInvariantError(
+                    f"counterexample for {to_text(phi)} failed re-verification"
+                )
+
+
+def _search_pool(
+    c: ConnectiveSpec, atom_pool: Sequence[Formula]
+) -> tuple[list[Formula], list[str]]:
+    """The pool's atoms and texts, checked for a search for ``c``."""
+    pool = list(atom_pool)
+    for needed in (Placeholder(1), Placeholder(2)):
+        if needed not in pool:
+            raise ValidationError("the atom pool must include r1 and r2")
+    pool, texts = _checked_pool(pool)
+    if any(isinstance(a, Placeholder) and a.index > c.arity for a in pool):
+        raise ValidationError(
+            f"the context uses more placeholders than the connective's arity ({c.arity})"
+        )
+    return pool, texts
+
+
+def _pairs(by_size: dict[int, dict[int, int]], size: int):
+    """The pairs of signatures whose joins make the contexts of ``size``,
+    each with the number of pairs of sides it stands for, from ``by_size``:
+    per size, the number of contexts of each signature.  Sides pair once
+    per unordered pair, as ``enumerate_contexts`` keeps them."""
+    for left_size in range(1, size // 2 + 1, 2):
+        right_size = size - 1 - left_size
+        left, right = by_size.get(left_size, {}), by_size.get(right_size, {})
+        if left_size != right_size:
+            for a, n in left.items():
+                for b, m in right.items():
+                    yield a, b, n * m
+            continue
+        items = list(left.items())
+        for i, (a, n) in enumerate(items):
+            yield a, a, n * (n + 1) // 2
+            for b, m in items[i + 1 :]:
+                yield a, b, n * m
 
 
 @dataclass
@@ -717,55 +970,123 @@ class SearchReport:
         return asdict(self)
 
 
-def _search_one(candidate: Formula, name: str, arity: int) -> Optional[str]:
-    c = builtin_connective(name, arity)
-    ce = _refute_or_none(candidate, c)
-    if ce is None:
-        return None
-    if not verify_counterexample(ce):
-        raise InternalInvariantError(
-            f"counterexample for {to_text(candidate)} failed re-verification"
-        )
-    return instance_label(ce.instances)
-
-
-def search_contexts(
-    c: ConnectiveSpec,
-    atom_pool: Sequence[Formula],
-    max_size: int,
-    *,
-    jobs: int = 1,
-) -> SearchReport:
-    """Run the refutation battery over every context up to ``max_size``
-    and tally which instance dispatched each.  Candidates the battery
-    cannot tell apart from the connective land in ``unrefuted`` (expected
-    only for connectives a context CAN define, like ``contra``)."""
-    if max_size > SEARCH_MAX_SIZE:
-        raise CapExceededError(f"search is capped at size {SEARCH_MAX_SIZE}")
-    pool_texts = [to_text(a) for a in atom_pool]
-    pool_list = list(atom_pool)
-    for needed in (Placeholder(1), Placeholder(2)):
-        if needed not in pool_list:
-            raise ValidationError("the atom pool must include r1 and r2")
+def search_contexts(c: ConnectiveSpec, atom_pool: Sequence[Formula], max_size: int) -> SearchReport:
+    """Tally which battery instance refutes each context up to ``max_size``
+    that ``enumerate_contexts`` gives, the instances in the order they first
+    refute one.  Contexts are counted per size and signature, not built;
+    the smallest context of each signature met is refuted on its own as a
+    check.  Contexts the battery cannot tell apart from the connective land
+    in ``unrefuted`` (expected only for connectives a context CAN define,
+    like ``contra``); listing them takes enumerating them, so only ``or``
+    and ``imp``, whose batteries refute every context, search past
+    ``LISTING_MAX_SIZE``."""
+    cap = SEARCH_MAX_SIZE if c.name in _REFUTED_BY_BATTERY else LISTING_MAX_SIZE
+    if max_size > cap:
+        raise CapExceededError(f"search for {c.name!r} is capped at size {cap}")
     start = time.perf_counter()
-    candidates = enumerate_contexts(atom_pool, max_size)
-    report = SearchReport(
-        connective=c.name, pool=pool_texts, max_size=max_size, total=len(candidates)
+    pool, texts = _search_pool(c, atom_pool)
+    sigs = _Signatures(
+        c, pool, (max_size + 1) // 2, None if max_size <= LISTING_MAX_SIZE else MAX_SIGNATURES
     )
-    worker = partial(_search_one, name=c.name, arity=c.arity)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            labels = list(pool.map(worker, candidates, chunksize=64))
-    else:
-        labels = [worker(cand) for cand in candidates]
-    for candidate, label in zip(candidates, labels):
+    by_size: dict[int, dict[int, int]] = {1: {}}
+    for sid in sigs.leaves:
+        by_size[1][sid] = by_size[1].get(sid, 0) + 1
+    for size in range(3, max_size + 1, 2):
+        counts = by_size[size] = {}
+        for a, b, n in _pairs(by_size, size):
+            for op in (And, Tensor):
+                sid = sigs.join(op, a, b)
+                counts[sid] = counts.get(sid, 0) + n
+    sigs.check()
+
+    tallies: dict[Optional[str], int] = {}
+    first: dict[Optional[str], int] = {}  # label -> smallest size with it
+    last_unrefuted = 0
+    for size, counts in by_size.items():
+        for sid, n in counts.items():
+            label = sigs.labels[sid]
+            tallies[label] = tallies.get(label, 0) + n
+            first.setdefault(label, size)
+            if label is None:
+                last_unrefuted = size
+    unrefuted = tallies.pop(None, 0)
+    first.pop(None, None)
+    if unrefuted and max_size > LISTING_MAX_SIZE:
+        raise CapExceededError(f"listing unrefuted contexts is capped at size {LISTING_MAX_SIZE}")
+    report = SearchReport(
+        connective=c.name,
+        pool=texts,
+        max_size=max_size,
+        total=sum(tallies.values()) + unrefuted,
+        refuted=sum(tallies.values()),
+    )
+    # The contexts in order, as far as the last first refutation and the
+    # last unrefuted context: each signature joins its sides'.
+    found = {id(atom): sid for atom, sid in zip(pool, sigs.leaves)}
+    for phi in enumerate_contexts(pool, max([last_unrefuted, *first.values()])):
+        sid = found.get(id(phi))
+        if sid is None:
+            sid = found[id(phi)] = sigs.join(type(phi), found[id(phi.left)], found[id(phi.right)])
+        label = sigs.labels[sid]
         if label is None:
-            report.unrefuted.append(to_text(candidate))
-        else:
-            report.refuted += 1
-            report.by_instance[label] = report.by_instance.get(label, 0) + 1
+            report.unrefuted.append(to_text(phi))
+        elif label not in report.by_instance:
+            report.by_instance[label] = tallies[label]
     report.elapsed_s = round(time.perf_counter() - start, 3)
     return report
+
+
+@dataclass
+class ClosureReport:
+    """The signatures of all contexts over a pool, at every size.  No
+    context over the pool defines the connective unless one of them is
+    ``reachable``: leaves the battery unrefuted."""
+
+    connective: str
+    pool: list[str]
+    signatures: int
+    rounds: int
+    reachable: bool
+    witnesses: list[dict]
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
+def closure_check(c: ConnectiveSpec, atom_pool: Sequence[Formula]) -> ClosureReport:
+    """The fixpoint of the signatures reachable from ``atom_pool`` under
+    ``&`` and ``+``, met size by size.  A smallest context of a signature
+    joins smallest contexts of two signatures, so the signatures first met
+    at one size come from pairs whose smallest sizes sum to one less, and
+    none is new past twice the largest smallest size plus one.  Reports the
+    number of signatures, the number of sizes past 1 that met a new one
+    (``rounds``), whether one of them leaves the battery unrefuted, and the
+    smallest context of each with the instance that refutes it (None when
+    none does), each checked by refuting the context on its own."""
+    pool, texts = _search_pool(c, atom_pool)
+    sigs = _Signatures(c, pool, max_signatures=MAX_SIGNATURES)
+    by_size = {1: dict.fromkeys(sigs.leaves, 1)}
+    size = 3
+    while size <= 2 * max(by_size) + 1:
+        met = len(sigs.signatures)
+        for a, b, _ in _pairs(by_size, size):
+            for op in (And, Tensor):
+                sigs.join(op, a, b)
+        if len(sigs.signatures) > met:
+            by_size[size] = dict.fromkeys(range(met, len(sigs.signatures)), 1)
+        size += 2
+    sigs.check()
+    return ClosureReport(
+        connective=c.name,
+        pool=texts,
+        signatures=len(sigs.signatures),
+        rounds=len(by_size) - 1,
+        reachable=None in sigs.labels,
+        witnesses=[
+            {"context": to_text(phi), "refuted_by": label}
+            for phi, label in zip(sigs.witnesses, sigs.labels)
+        ],
+    )
 
 
 # --- Connective preconditions ---------------------------------------------

@@ -10,6 +10,7 @@ enumeration order (by cardinality, then by mask).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import CapExceededError, ValidationError
@@ -233,10 +234,13 @@ def enumerate_teams(vars: VarSet, cap: int = TEAM_ENUM_CAP) -> Iterator[Team]:
         raise CapExceededError(
             f"enumerating teams over {len(vars)} variables exceeds the cap of {cap}"
         )
-    npat = 1 << len(vars)
-    masks = sorted(range(1 << npat), key=lambda m: (m.bit_count(), m))
-    for m in masks:
+    for m in _team_order(1 << len(vars)):
         yield Team(vars, m)
+
+
+@lru_cache(maxsize=None)  # one entry per width up to the cap
+def _team_order(npat: int) -> tuple[int, ...]:
+    return tuple(sorted(range(1 << npat), key=lambda m: (m.bit_count(), m)))
 
 
 def maximal_masks(masks: list[int]) -> list[int]:

@@ -137,6 +137,52 @@ def reference_refute(phi, c, extended=False):
     return None
 
 
+def reference_search(c, atom_pool, max_size):
+    """The per-context search: every context up to ``max_size`` from
+    ``enumerate_contexts``, each refuted by ``_refute_or_none`` on its own,
+    each counterexample re-verified, and the refuting instances tallied in
+    enumeration order.  The reference for ``definability.search_contexts``,
+    without its size cap."""
+    import time
+
+    from tsw.definability import (
+        SearchReport,
+        _refute_or_none,
+        enumerate_contexts,
+        instance_label,
+        verify_counterexample,
+    )
+    from tsw.errors import InternalInvariantError, ValidationError
+    from tsw.formulas import to_text
+
+    pool = list(atom_pool)
+    for needed in (Placeholder(1), Placeholder(2)):
+        if needed not in pool:
+            raise ValidationError("the atom pool must include r1 and r2")
+    start = time.perf_counter()
+    candidates = enumerate_contexts(pool, max_size)
+    report = SearchReport(
+        connective=c.name,
+        pool=[to_text(a) for a in pool],
+        max_size=max_size,
+        total=len(candidates),
+    )
+    for candidate in candidates:
+        ce = _refute_or_none(candidate, c)
+        if ce is None:
+            report.unrefuted.append(to_text(candidate))
+            continue
+        if not verify_counterexample(ce):
+            raise InternalInvariantError(
+                f"counterexample for {to_text(candidate)} failed re-verification"
+            )
+        report.refuted += 1
+        label = instance_label(ce.instances)
+        report.by_instance[label] = report.by_instance.get(label, 0) + 1
+    report.elapsed_s = round(time.perf_counter() - start, 3)
+    return report
+
+
 _REF_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<arrow>->)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from tsw.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -255,14 +261,63 @@ def test_search_json_deterministic(capsys):
     assert a["by_instance"] == {"bot,top": 41, "top,bot": 8, "theta,theta": 14}
 
 
-def test_search_jobs_flag(capsys):
-    a = run_json(capsys, "search", "--connective", "imp", "--max-size", "3", "--json")
-    b = run_json(
-        capsys, "search", "--connective", "imp", "--max-size", "3", "--jobs", "2", "--json"
+def test_search_has_no_jobs_flag(capsys):
+    code, out, err = run(capsys, "search", "--connective", "imp", "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --jobs 2\n"
+
+
+def test_search_closure_json(capsys):
+    code, out, err = run(capsys, "search", "--connective", "imp", "--closure", "--json")
+    assert code == 0, err
+    obj = json.loads(out)
+    witnesses = obj.pop("witnesses")
+    assert obj == {
+        "connective": "imp",
+        "pool": ["r1", "r2", "bot", "top", "p", "!p", "=(p)"],
+        "signatures": 36,
+        "rounds": 3,
+        "reachable": False,
+    }
+    assert len(witnesses) == 36
+    assert witnesses[:4] == [
+        {"context": "r1", "refuted_by": "bot,bot"},
+        {"context": "r2", "refuted_by": "bot,bot"},
+        {"context": "bot", "refuted_by": "bot,bot"},
+        {"context": "top", "refuted_by": "top,bot"},
+    ]
+    assert {w["refuted_by"] for w in witnesses} == {"bot,bot", "top,bot"}
+
+
+def test_search_closure_human(capsys):
+    code, out, _ = run(capsys, "search", "--connective", "or", "--closure", "--pool", "r1,r2,top")
+    assert code == 0
+    assert out.splitlines() == [
+        "7 signatures reachable in 2 rounds; none matches or on its battery",
+        "  bot,top: r1",
+        "  top,bot: r2",
+        "  theta,theta: top",
+        "  bot,top: r1 + r1",
+        "  bot,top: r1 & r2",
+        "  top,bot: r2 + r2",
+        "  bot,top: (r1 + r1) & (r2 + r2)",
+    ]
+
+
+def test_import_loads_no_process_pool():
+    # the CLI's cold start imports neither process pools nor their machinery
+    code = (
+        "import sys, tsw.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    a.pop("elapsed_s")
-    b.pop("elapsed_s")
-    assert a == b
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_search_human_summary(capsys):
@@ -274,7 +329,7 @@ def test_search_human_summary(capsys):
 
 
 def test_search_cap_exit_code(capsys):
-    code, _, err = run(capsys, "search", "--connective", "or", "--max-size", "11")
+    code, _, err = run(capsys, "search", "--connective", "or", "--max-size", "33")
     assert code == 2
     assert err.startswith("error:")
 

@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsw.definability import (
+    LISTING_MAX_SIZE,
     SEARCH_MAX_SIZE,
+    _refute_or_none,
     builtin_connective,
     build_reduced_truth_function,
     check_monotone,
+    closure_check,
     complete_from_leaves,
     condition_check,
     contra,
     enumerate_contexts,
     find_truth_function,
+    instance_label,
     is_consistent,
     leaf_tensor_ancestor_check,
     normalize,
@@ -24,7 +28,7 @@ from tsw.definability import (
     verify_truth_function,
 )
 from tsw.errors import CapExceededError, ValidationError
-from tsw.formulas import Fragment, Tensor, Variable, to_text
+from tsw.formulas import Fragment, Tensor, Variable, syntax_tree, to_text
 from tsw.parsing import parse
 from tsw.semantics import evaluate
 from tsw.teams import Team, VarSet, enumerate_teams, full_team
@@ -34,6 +38,7 @@ from .helpers import (
     PQ,
     context_texts_bruteforce,
     reference_refute,
+    reference_search,
     reference_split,
     st_formula,
     subteams,
@@ -43,6 +48,7 @@ p, q = Variable("p"), Variable("q")
 
 POOL = tuple(parse(s) for s in ("r1", "r2", "bot", "top", "p", "!p", "=(p)"))
 SMALL_POOL = tuple(parse(s) for s in ("r1", "r2", "p", "!p", "bot"))
+TWO_VAR_POOL = tuple(parse(s) for s in ("r1", "r2", "p1", "q", "=(q;p1)", "bot", "top"))
 
 
 def test_builtin_connective_specs():
@@ -652,17 +658,133 @@ def test_search_contra_leaves_genuine_definitions_unrefuted():
         assert not is_consistent(parse(text))
 
 
-def test_search_jobs_do_not_change_the_report():
-    seq = search_contexts(builtin_connective("or"), POOL, 3, jobs=1).to_json()
-    par = search_contexts(builtin_connective("or"), POOL, 3, jobs=2).to_json()
-    seq.pop("elapsed_s")
-    par.pop("elapsed_s")
-    assert seq == par
+def _without_elapsed(report):
+    obj = report.to_json()
+    obj.pop("elapsed_s")
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("pool", [POOL, SMALL_POOL, TWO_VAR_POOL], ids=["pool", "small", "two_var"])
+@pytest.mark.parametrize("name", ["or", "imp", "contra"])
+def test_search_matches_the_reference(name, pool):
+    c = contra() if name == "contra" else builtin_connective(name)
+    for size in (1, 3, 5, 7):
+        # byte for byte, so the order of by_instance and unrefuted counts too
+        got = _without_elapsed(search_contexts(c, pool, size))
+        assert got == _without_elapsed(reference_search(c, pool, size)), (name, size)
+
+
+def test_search_lists_instances_in_the_order_they_first_refute():
+    # r2 comes first, so top,bot refutes a context before bot,top does
+    pool = tuple(parse(s) for s in ("r2", "r1", "top"))
+    c = builtin_connective("or")
+    for size in (1, 3, 5):
+        got = search_contexts(c, pool, size)
+        assert list(got.by_instance)[:2] == ["top,bot", "bot,top"]
+        assert _without_elapsed(got) == _without_elapsed(reference_search(c, pool, size))
+
+
+def test_search_pins_past_the_enumeration():
+    rep = search_contexts(builtin_connective("or"), POOL, 9).to_json()
+    assert rep["total"] == rep["refuted"] == 301_175
+    assert list(rep["by_instance"].items()) == [
+        ("bot,top", 183_798),
+        ("top,bot", 32_876),
+        ("theta,theta", 84_501),
+    ]
+    assert rep["unrefuted"] == []
+    # from one reference_search run of the per-context loop
+    rep = search_contexts(builtin_connective("imp"), POOL, 9).to_json()
+    assert rep["total"] == rep["refuted"] == 301_175
+    assert list(rep["by_instance"].items()) == [("bot,bot", 226_823), ("top,bot", 74_352)]
+
+
+def test_search_at_the_largest_size():
+    # contexts of each size, one per unordered pair of sides and connective
+    count = {1: len(POOL)}
+    for size in range(3, SEARCH_MAX_SIZE + 1, 2):
+        pairs = 0
+        for left in range(1, size // 2 + 1, 2):
+            right = size - 1 - left
+            n, m = count[left], count[right]
+            pairs += n * (n + 1) // 2 if left == right else n * m
+        count[size] = 2 * pairs
+    rep = search_contexts(builtin_connective("or"), POOL, SEARCH_MAX_SIZE).to_json()
+    assert rep["total"] == sum(count.values()) > 10**20
+    assert rep["refuted"] == rep["total"]
+    assert sum(rep["by_instance"].values()) == rep["total"]
+    assert rep["unrefuted"] == []
+    # the integers survive a JSON round trip exactly
+    assert json.loads(json.dumps(rep))["total"] == rep["total"]
+
+
+def test_closure_check_leaves_or_and_imp_unreachable():
+    # The signatures of contexts without variables carry one more frame,
+    # on the battery over p1, than those of contexts over p: on the battery
+    # over p alone, 59 (or) and 31 (imp) of these are distinct.
+    for name, signatures, rounds in (("or", 67, 4), ("imp", 36, 3)):
+        c = builtin_connective(name)
+        rep = closure_check(c, POOL).to_json()
+        assert rep["reachable"] is False
+        assert (rep["signatures"], rep["rounds"]) == (signatures, rounds)
+        assert len(rep["witnesses"]) == signatures
+        # smallest first, one new size per round
+        sizes = [len(syntax_tree(parse(w["context"])).nodes) for w in rep["witnesses"]]
+        assert sizes == sorted(sizes)
+        assert sorted(set(sizes)) == list(range(1, 2 * rounds + 2, 2))
+        # every verdict replays through refute
+        for w in rep["witnesses"]:
+            ce = refute_uniform_definition(parse(w["context"]), c)
+            assert instance_label(ce.instances) == w["refuted_by"]
+    # imp's witnesses are contexts as the enumeration prints them
+    listed = {to_text(f) for f in enumerate_contexts(POOL, 7)}
+    assert {w["context"] for w in rep["witnesses"]} <= listed
+
+
+def test_closure_check_reaches_contra():
+    rep = closure_check(contra(), POOL).to_json()
+    assert rep["reachable"] is True
+    unrefuted = [w["context"] for w in rep["witnesses"] if w["refuted_by"] is None]
+    # one without variables, one over p
+    assert unrefuted == ["bot", "bot & p"]
+    for text in unrefuted:
+        assert _refute_or_none(parse(text), contra()) is None
+
+
+def test_search_and_closure_past_the_team_cap():
+    wide = tuple(parse(s) for s in ("r1", "r2", "a", "b", "c", "d", "e"))
+    # Contexts of size 5 use at most three variables, so no frame needs
+    # four; a context of size 9 can use all five.
+    c = builtin_connective("or")
+    assert _without_elapsed(search_contexts(c, wide, 5)) == _without_elapsed(
+        reference_search(c, wide, 5)
+    )
+    with pytest.raises(CapExceededError):
+        search_contexts(builtin_connective("or"), wide, 9)
+    with pytest.raises(CapExceededError):
+        closure_check(builtin_connective("or"), wide)
+    with pytest.raises(CapExceededError):
+        search_contexts(builtin_connective("or"), POOL + (parse("=(a,b,c,d;e)"),), 1)
+
+
+def test_closure_and_large_searches_stop_past_the_signature_cap():
+    three = tuple(parse(s) for s in ("r1", "r2", "p", "q", "s", "bot"))
+    c = builtin_connective("or")
+    with pytest.raises(CapExceededError):
+        closure_check(c, three)
+    with pytest.raises(CapExceededError):
+        search_contexts(c, three, LISTING_MAX_SIZE + 2)
+    # up to the listing cap, the enumeration's own size bounds the work
+    assert search_contexts(c, three, LISTING_MAX_SIZE).refuted == 144_990
 
 
 def test_search_caps_and_pool_requirements():
     with pytest.raises(CapExceededError):
         search_contexts(builtin_connective("or"), POOL, SEARCH_MAX_SIZE + 2)
+    with pytest.raises(CapExceededError):
+        search_contexts(contra(), POOL, LISTING_MAX_SIZE + 2)
+    with pytest.raises(ValidationError):
+        search_contexts(contra(), POOL + (parse("r3"),), 1)
     no_r2 = tuple(parse(s) for s in ("r1", "bot", "top"))
     with pytest.raises(ValidationError):
         search_contexts(builtin_connective("or"), no_r2, 3)
