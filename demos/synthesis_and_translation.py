@@ -33,8 +33,8 @@ block = theta_star(Team.from_rows(vs, [[0, 1]]))
 print("excluded-team block for {pq=01}:", to_text(block))
 
 # The raw construction conjoins one block per excluded team, which
-# gets verbose; minimize prunes conjuncts that other blocks already
-# cover.
+# gets verbose; minimize keeps the blocks of the minimal excluded teams
+# only, since every other excluded team contains one of them.
 phi_pd = synth_pd(family, minimize=True)
 phi_inql = synth_inql(family)
 print("split-disjunction shape:", to_text(phi_pd))

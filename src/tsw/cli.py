@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .expressiveness import synth_inql, synth_pd, theta_star, translate
-from .formulas import Top, is_atom, max_placeholder, substitute, to_text
+from .formulas import Top, Variable, is_atom, max_placeholder, substitute, to_text
 from .parsing import parse
 from .semantics import (
     check_basic_properties,
@@ -178,12 +178,13 @@ def _build_parser() -> _Parser:
 
 
 def _parse_vars(csv: Optional[str]) -> Optional[VarSet]:
+    """The ``--vars`` names in the order given, as a team file lists them."""
     if csv is None:
         return None
     names = [part.strip() for part in csv.split(",") if part.strip()]
     if not names:
         raise ValidationError("--vars needs at least one name")
-    return VarSet.from_names(names)
+    return VarSet(tuple(Variable(n) for n in names))
 
 
 def _load_team(arg: str, vars: Optional[VarSet]) -> Team:
@@ -226,19 +227,12 @@ def _two_formulas(texts: list[str], what: str):
     return parse(texts[0]), parse(texts[1])
 
 
-def _emit(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+def _bool_result(value: bool) -> tuple[str, dict]:
+    return ("true" if value else "false"), {"result": value}
 
 
-def _bool_result(args, value: bool) -> None:
-    _emit(args, "true" if value else "false", {"result": value})
-
-
-def _formula_result(args, phi) -> None:
-    _emit(args, to_text(phi), {"formula": to_text(phi)})
+def _formula_result(phi) -> tuple[str, dict]:
+    return to_text(phi), {"formula": to_text(phi)}
 
 
 def _truth_function_human(tau) -> str:
@@ -249,41 +243,37 @@ def _truth_function_human(tau) -> str:
     return "\n".join(lines)
 
 
-def _run(argv: Optional[Sequence[str]]) -> int:
-    args = _build_parser().parse_args(argv)
-
+def _run(args) -> tuple[str, dict]:
+    """The command's output: its human-readable text and its JSON payload."""
     if args.command == "parse":
         phi = parse(args.formula)
-        _emit(args, to_text(phi), {"formula": to_text(phi), "vars": var_set(phi).names()})
+        return to_text(phi), {"formula": to_text(phi), "vars": var_set(phi).names()}
 
-    elif args.command == "eval":
+    if args.command == "eval":
         phi = parse(args.formula)
         team = _load_team(args.team, _parse_vars(args.vars))
-        _bool_result(args, evaluate(phi, team))
+        return _bool_result(evaluate(phi, team))
 
-    elif args.command == "truthset":
+    if args.command == "truthset":
         phi = parse(args.formula)
         vars = _parse_vars(args.vars)
         family = truth_set(phi, vars, max_vars=args.max_vars, force=args.force)
-        if args.json:
-            print(json.dumps(family.to_json(), indent=2))
-        else:
-            print(f"{len(family)} teams over {{{','.join(family.vars.names())}}}")
-            for team in family.teams():
-                print(json.dumps(team.rows()))
+        lines = [f"{len(family)} teams over {{{','.join(family.vars.names())}}}"]
+        lines += [json.dumps(team.rows()) for team in family.teams()]
+        return "\n".join(lines), family.to_json()
 
-    elif args.command == "valid":
-        _bool_result(args, valid(parse(args.formula)))
+    if args.command == "valid":
+        return _bool_result(valid(parse(args.formula)))
 
-    elif args.command == "entails":
+    if args.command == "entails":
         a, b = _two_formulas(args.formula, "entails")
-        _bool_result(args, entails(a, b, max_vars=args.max_vars, force=args.force))
+        return _bool_result(entails(a, b, max_vars=args.max_vars, force=args.force))
 
-    elif args.command == "equiv":
+    if args.command == "equiv":
         a, b = _two_formulas(args.formula, "equiv")
-        _bool_result(args, equivalent(a, b, max_vars=args.max_vars, force=args.force))
+        return _bool_result(equivalent(a, b, max_vars=args.max_vars, force=args.force))
 
-    elif args.command == "properties":
+    if args.command == "properties":
         phi = parse(args.formula)
         report = check_basic_properties(
             phi,
@@ -292,122 +282,107 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             max_vars=args.max_vars,
             force=args.force,
         )
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            for check in report.checks:
-                mark = "pass" if check.passed else "FAIL"
-                print(f"{check.name}: {mark}  ({check.detail})")
+        human = "\n".join(
+            f"{c.name}: {'pass' if c.passed else 'FAIL'}  ({c.detail})" for c in report.checks
+        )
+        return human, report.to_json()
 
-    elif args.command == "theta":
+    if args.command == "theta":
         team = _load_team(args.team, _parse_vars(args.vars))
-        _formula_result(args, theta_star(team, raw=args.raw))
+        return _formula_result(theta_star(team, raw=args.raw))
 
-    elif args.command == "synth":
+    if args.command == "synth":
         family = _load_family(args.family)
         synth = synth_pd if args.target == "pd" else synth_inql
-        _formula_result(args, synth(family, max_vars=args.max_vars, force=args.force))
+        return _formula_result(synth(family, max_vars=args.max_vars, force=args.force))
 
-    elif args.command == "translate":
+    if args.command == "translate":
         phi = parse(args.formula)
-        _formula_result(
-            args, translate(phi, args.target, max_vars=args.max_vars, force=args.force)
+        return _formula_result(
+            translate(phi, args.target, max_vars=args.max_vars, force=args.force)
         )
 
-    elif args.command == "subst":
+    if args.command == "subst":
         context = parse(args.context)
         instances = [parse(t) for t in args.formula]
-        _formula_result(args, substitute(context, instances))
+        return _formula_result(substitute(context, instances))
 
-    elif args.command == "normalize":
-        _formula_result(args, normalize(parse(args.context)))
+    if args.command == "normalize":
+        return _formula_result(normalize(parse(args.context)))
 
-    elif args.command == "consistent":
-        _bool_result(args, is_consistent(parse(args.context)))
+    if args.command == "consistent":
+        return _bool_result(is_consistent(parse(args.context)))
 
-    elif args.command == "truthfn":
+    if args.command == "truthfn":
         context = parse(args.context)
         instances = [parse(t) for t in args.formula]
         team = _load_team(args.team, _parse_vars(args.vars))
         tau = find_truth_function(context, instances, team)
-        if args.json:
-            payload = {"found": tau is not None}
-            payload["truth_function"] = tau.to_json() if tau is not None else None
-            print(json.dumps(payload, indent=2))
-        elif tau is None:
-            print("none (the team does not satisfy the instantiated context)")
-        else:
-            print(_truth_function_human(tau))
+        if tau is None:
+            human = "none (the team does not satisfy the instantiated context)"
+            return human, {"found": False, "truth_function": None}
+        return _truth_function_human(tau), {"found": True, "truth_function": tau.to_json()}
 
-    elif args.command == "reduce":
+    if args.command == "reduce":
         context = parse(args.context)
         vars = _parse_vars(args.vars)
         if vars is None:
             vars = var_set(substitute(context, [Top()] * max_placeholder(context)))
         tau = build_reduced_truth_function(context, vars)
-        if args.json:
-            payload = tau.to_json()
-            payload["context"] = to_text(tau.tree.node(0).formula)
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_truth_function_human(tau))
+        payload = tau.to_json()
+        payload["context"] = to_text(tau.tree.node(0).formula)
+        return _truth_function_human(tau), payload
 
-    elif args.command == "refute":
+    if args.command == "refute":
         context = parse(args.context)
         c = builtin_connective(args.connective)
         ce = refute_uniform_definition(context, c, extended=args.extended)
-        if args.json:
-            print(json.dumps(ce.to_json(), indent=2))
-        else:
-            inst = ", ".join(to_text(t) for t in ce.instances)
-            print(f"instances: {inst}")
-            print(f"team: {json.dumps(ce.team.rows())} over {{{','.join(ce.vars.names())}}}")
-            print(f"context gives {str(ce.lhs).lower()}, connective gives {str(ce.rhs).lower()}")
+        inst = ", ".join(to_text(t) for t in ce.instances)
+        human = (
+            f"instances: {inst}\n"
+            f"team: {json.dumps(ce.team.rows())} over {{{','.join(ce.vars.names())}}}\n"
+            f"context gives {str(ce.lhs).lower()}, connective gives {str(ce.rhs).lower()}"
+        )
+        return human, ce.to_json()
 
-    elif args.command == "search" and args.closure:
+    if args.command == "search" and args.closure:
         pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
         report = closure_check(builtin_connective(args.connective), pool)
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            some = "one matches" if report.reachable else "none matches"
-            print(
-                f"{report.signatures} signatures reachable in {report.rounds} rounds; "
-                f"{some} {report.connective} on its battery"
-            )
-            for w in report.witnesses:
-                print(f"  {w['refuted_by'] or 'unrefuted'}: {w['context']}")
+        some = "one matches" if report.reachable else "none matches"
+        lines = [
+            f"{report.signatures} signatures reachable in {report.rounds} rounds; "
+            f"{some} {report.connective} on its battery"
+        ]
+        lines += [f"  {w['refuted_by'] or 'unrefuted'}: {w['context']}" for w in report.witnesses]
+        return "\n".join(lines), report.to_json()
 
-    elif args.command == "search":
+    if args.command == "search":
         pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
         c = builtin_connective(args.connective)
         report = search_contexts(c, pool, args.max_size)
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(
-                f"{report.refuted}/{report.total} contexts refuted "
-                f"(size <= {report.max_size}, {report.elapsed_s}s)"
-            )
-            for label, count in sorted(report.by_instance.items()):
-                print(f"  {label}: {count}")
-            if report.unrefuted:
-                print(f"unrefuted: {', '.join(report.unrefuted)}")
+        lines = [
+            f"{report.refuted}/{report.total} contexts refuted "
+            f"(size <= {report.max_size}, {report.elapsed_s}s)"
+        ]
+        lines += [f"  {label}: {count}" for label, count in sorted(report.by_instance.items())]
+        if report.unrefuted:
+            lines.append(f"unrefuted: {', '.join(report.unrefuted)}")
+        return "\n".join(lines), report.to_json()
 
-    elif args.command == "conditions":
+    if args.command == "conditions":
         report = condition_check(builtin_connective(args.connective))
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            for w in report.witnesses:
-                mark = "holds" if w.holds else "FAILS"
-                inst = f"  [{', '.join(w.instances)}]" if w.instances else ""
-                print(f"({w.condition}) {mark}: {w.detail}{inst}")
+        lines = []
+        for w in report.witnesses:
+            mark = "holds" if w.holds else "FAILS"
+            inst = f"  [{', '.join(w.instances)}]" if w.instances else ""
+            lines.append(f"({w.condition}) {mark}: {w.detail}{inst}")
+        return "\n".join(lines), report.to_json()
 
-    else:  # pragma: no cover - argparse enforces the choices
-        raise InternalInvariantError(f"unhandled command {args.command!r}")
+    raise InternalInvariantError(f"unhandled command {args.command!r}")  # pragma: no cover
 
-    return 0
+
+def _emit(args, human: str, payload: dict) -> None:
+    print(json.dumps(payload, indent=2) if args.json else human)
 
 
 def _parse_pool_atom(text: str):
@@ -419,7 +394,9 @@ def _parse_pool_atom(text: str):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return _run(argv)
+        args = _build_parser().parse_args(argv)
+        _emit(args, *_run(args))
+        return 0
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

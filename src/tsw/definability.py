@@ -23,8 +23,9 @@ The bounded search and the closure check never build the contexts they
 count.  On the battery, a context's verdict depends only on its
 signature: the variables it uses and, per battery vector, the
 alternatives of the instance on the full team, a down-set's maximal
-members.  ``&`` takes the maximal pairwise intersections of its sides'
-alternatives and ``+`` the maximal pairwise unions (Yang & Väänänen,
+members (``semantics.alternatives``).  ``&`` takes the maximal pairwise
+intersections of its sides' alternatives and ``+`` the maximal pairwise
+unions (``semantics.join``; Yang & Väänänen,
 *Propositional logics of dependence*, APAL 2016; Ciardelli & Roelofsen,
 *Inquisitive logic*, JPL 2011), so ``search_contexts`` counts contexts
 per size and signature, and ``closure_check`` finds the signatures
@@ -38,7 +39,7 @@ import itertools
 import time
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -68,26 +69,19 @@ from .formulas import (
     variables,
 )
 from .semantics import (
+    alternatives,
     entails,
     equivalent,
     evaluate,
+    join,
     largest_split,
     node_alternatives,
-    truth_set,
     var_set,
 )
-from .teams import TEAM_ENUM_CAP, Team, VarSet, enumerate_teams, full_team, maximal_masks
+from .teams import TEAM_ENUM_CAP, Team, VarSet, enumerate_teams, full_team
 
 
 # --- Connectives ----------------------------------------------------------
-
-
-def _eval_or(instances: Sequence[Formula], team: Team) -> bool:
-    return evaluate(IDisj(instances[0], instances[1]), team)
-
-
-def _eval_imp(instances: Sequence[Formula], team: Team) -> bool:
-    return evaluate(Impl(instances[0], instances[1]), team)
 
 
 def _eval_contra(instances: Sequence[Formula], team: Team) -> bool:
@@ -103,8 +97,8 @@ class ConnectiveSpec:
     evaluate: Callable[[Sequence[Formula], Team], bool]
 
 
-IDISJ_SPEC = ConnectiveSpec("or", 2, _eval_or)
-IMPL_SPEC = ConnectiveSpec("imp", 2, _eval_imp)
+IDISJ_SPEC = ConnectiveSpec("or", 2, lambda inst, team: evaluate(IDisj(*inst), team))
+IMPL_SPEC = ConnectiveSpec("imp", 2, lambda inst, team: evaluate(Impl(*inst), team))
 
 
 def contra(arity: int = 2) -> ConnectiveSpec:
@@ -755,10 +749,6 @@ SEARCH_MAX_SIZE = 31
 MAX_SIGNATURES = 1_000
 
 
-def _canonical(alts: list[int]) -> tuple[int, ...]:
-    return tuple(sorted(maximal_masks(alts)))
-
-
 class _Signatures:
     """The contexts over one atom pool, up to their verdicts on the battery
     of one connective.
@@ -863,17 +853,10 @@ class _Signatures:
 
     def _alternatives(self, inst: Formula, vars: VarSet) -> tuple[int, ...]:
         """The alternatives of an instantiated atom on the full team over
-        ``vars``.  Past the budget (a large substituent, such as the theta
-        of four variables), those of its truth set, bounded by the
-        variable cap."""
+        ``vars``, sorted."""
         key = (inst, vars)
         if key not in self._instances:
-            try:
-                tree = syntax_tree(inst)
-                alts = node_alternatives(tree, (), full_team(vars))[tree.root]
-            except CapExceededError:
-                alts = [t.mask for t in truth_set(inst, vars, force=True).maximal_teams()]
-            self._instances[key] = _canonical(alts)
+            self._instances[key] = tuple(sorted(alternatives(inst, vars)))
         return self._instances[key]
 
     def join(self, op: type, a: int, b: int) -> int:
@@ -884,10 +867,9 @@ class _Signatures:
         if sid is None:
             (used_a, alts_a), (used_b, alts_b) = self.signatures[a], self.signatures[b]
             used = used_a.union(used_b)
-            pick = and_ if op is And else or_
             alts = {
                 frame: tuple(
-                    _canonical([pick(x, y) for x in left for y in right])
+                    tuple(sorted(join(op, left, right)))
                     for left, right in zip(alts_a[frame], alts_b[frame])
                 )
                 for frame in self.frames(used)

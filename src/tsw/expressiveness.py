@@ -30,12 +30,7 @@ from .formulas import (
     Top,
     Variable,
 )
-from .semantics import (
-    DEFAULT_MAX_VARS,
-    _check_cap,
-    _truth_indicator,
-    truth_set,
-)
+from .semantics import DEFAULT_MAX_VARS, _check_cap, truth_set
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
 
 
@@ -101,33 +96,26 @@ def synth_pd(
 ) -> Formula:
     """A PD formula whose truth set over ``K.vars`` is exactly ``K``: the
     conjunction, over every nonempty team outside ``K``, of that team's
-    ``theta_star``.  With ``minimize``, conjuncts whose removal keeps the
-    truth set intact are greedily dropped (deterministic order)."""
+    ``theta_star``, smallest teams first.  With ``minimize``, only the
+    minimal such teams: a team contains a team outside the down-set ``K``
+    iff it contains a minimal one, so the other conjuncts add nothing."""
     _validate_family(K)
     _check_cap(len(K.vars), max_vars, force, "synthesis")
     npat = 1 << len(K.vars)
     excluded = [
-        Team(K.vars, mask)
+        mask
         for mask in sorted(range(1, 1 << npat), key=lambda m: (m.bit_count(), m))
         if mask not in K.masks
     ]
-    conjuncts: list[Formula] = [theta_star(X, K.vars) for X in excluded]
-    if not conjuncts:
+    if minimize:  # minimal: every proper subteam lies in K
+        excluded = [
+            mask
+            for mask in excluded
+            if all(mask ^ (1 << j) in K.masks for j in range(npat) if mask >> j & 1)
+        ]
+    if not excluded:
         return Top()
-    if minimize and len(conjuncts) > 1:
-        target = sum(1 << m for m in K.masks)
-        kept = list(conjuncts)
-        i = 0
-        while i < len(kept):
-            if len(kept) == 1:
-                break
-            trial = kept[:i] + kept[i + 1 :]
-            if _truth_indicator(reduce(And, trial), K.vars) == target:
-                kept = trial
-            else:
-                i += 1
-        conjuncts = kept
-    return reduce(And, conjuncts)
+    return reduce(And, [theta_star(Team(K.vars, mask), K.vars) for mask in excluded])
 
 
 def _inql_literal(pattern: int, vars: VarSet) -> Formula:

@@ -27,17 +27,20 @@ the one split rule for ``+``.  Antichains can blow up, so a walk that
 would form more than ``ALTERNATIVES_BUDGET`` candidate alternatives
 raises ``CapExceededError`` instead.
 
-``truth_set``, ``entails`` and ``equivalent`` take the alternatives of
-the full team over their variables: the truth set is their down-set, one
-formula entails another when each of its alternatives lies inside one of
-the other's, and two formulas are equivalent when their alternatives
-coincide.  They keep their variable caps, and when the walk would exceed
-the budget they fall back to the indicator engine, which builds, per
-subformula, a bitmask over all teams of the variable set at once, using
-lattice sweeps for the subteam quantifiers.  Its cost is bounded by the
-caps, so every judgment within them gets an answer.  The two engines are
-checked against each other (and against a naive all-pairs tensor) in the
-test suite, and ``check_basic_properties`` runs both.
+``alternatives`` gives the alternatives of a formula on the full team over
+a variable set, and ``join`` the alternatives of ``&`` or ``+`` from those
+of its two sides.  ``truth_set``, ``entails`` and ``equivalent`` read their
+answers off ``alternatives``: the truth set is the down-set of the
+alternatives, one formula entails another when each of its alternatives
+lies inside one of the other's, and two formulas are equivalent when their
+alternatives coincide.  They keep their variable caps.  When the walk would
+exceed the budget, ``alternatives`` takes the maximal teams of the indicator
+engine instead, which builds, per subformula, a bitmask over all teams of
+the variable set at once, using lattice sweeps for the subteam
+quantifiers.  Its cost is bounded by the caps, so every judgment within
+them gets an answer.  The two engines are checked against each other (and
+against a naive all-pairs tensor) in the test suite, and
+``check_basic_properties`` runs both.
 """
 
 from __future__ import annotations
@@ -83,14 +86,10 @@ def var_set(phi: Formula) -> VarSet:
     return VarSet.from_variables(scan_variables(phi)[0])
 
 
-def effective_cap(max_vars: int = DEFAULT_MAX_VARS, force: bool = False) -> int:
-    """Variable cap for whole-truth-set operations: ``max_vars`` up to a
-    default ceiling of 3, or the hard maximum of 4 when forced."""
-    return HARD_MAX_VARS if force else min(max_vars, DEFAULT_MAX_VARS)
-
-
 def _check_cap(n: int, max_vars: int, force: bool, what: str) -> None:
-    cap = effective_cap(max_vars, force)
+    """Whole-truth-set operations take ``max_vars`` variables up to a default
+    ceiling of 3, or the hard maximum of 4 when forced."""
+    cap = HARD_MAX_VARS if force else min(max_vars, DEFAULT_MAX_VARS)
     if n > cap:
         hint = " (force raises it to the hard maximum of 4)" if n <= HARD_MAX_VARS else ""
         raise CapExceededError(f"{what} over {n} variables exceeds the cap of {cap}{hint}")
@@ -183,6 +182,15 @@ def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
         if any(T & ~(a | b) == 0 for b in right):
             return a
     return None
+
+
+def join(op: type, left: list[int], right: list[int]) -> list[int]:
+    """The alternatives of ``op`` (``And`` or ``Tensor``) on a common team
+    from those of its two sides: their maximal pairwise intersections or
+    unions."""
+    if op is And:
+        return maximal_masks([a & b for a in left for b in right])
+    return maximal_masks([a | b for a in left for b in right])
 
 
 class _Walk:
@@ -284,9 +292,7 @@ class _Walk:
         if t is Impl:
             return self.implication_alternatives(left, right)
         self.charge(len(left) * len(right))
-        if t is And:
-            return maximal_masks([a & b for a in left for b in right])
-        return maximal_masks([a | b for a in left for b in right])
+        return join(t, left, right)
 
     def atom_alternatives(self, node: Formula) -> list[int]:
         t = type(node)
@@ -334,7 +340,7 @@ class _Walk:
             outside = self.X & ~a
             choices = maximal_masks([outside | b for b in right])
             self.charge(len(cands) * len(choices))
-            cands = maximal_masks([y & c for y in cands for c in choices])
+            cands = join(And, cands, choices)
         return cands
 
 
@@ -497,19 +503,20 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
 # --- Judgments over all teams ---------------------------------------------
 #
 # Satisfaction is closed under subteams, so the truth set of a formula over
-# a variable set is the down-set of its alternatives on the full team.  The
-# walk computes those; when it would exceed ALTERNATIVES_BUDGET, the
-# indicator engine answers instead, at a cost bounded by the variable cap.
+# a variable set is the down-set of its alternatives on the full team.
 
 
-def _alternatives(phi: Formula, vars: VarSet) -> Optional[list[int]]:
+def alternatives(phi: Formula, vars: VarSet) -> list[int]:
     """The alternatives of ``phi`` on the full team over ``vars`` (which must
-    hold its variables), or None when the walk exceeds the budget."""
+    hold its variables), an antichain of team masks.  When the walk would
+    exceed ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine,
+    at a cost bounded by the hard variable cap."""
     walk = _Walk(full_team(vars), _closed_variables(phi, vars))
     try:
         return walk.alternatives(phi)
     except CapExceededError:
-        return None
+        ind = _truth_indicator(phi, vars)
+        return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
 
 
 def truth_set(
@@ -523,8 +530,7 @@ def truth_set(
     if vars is None:
         vars = var_set(phi)
     _check_cap(len(vars), max_vars, force, "truth set")
-    alts = _alternatives(phi, vars)
-    ind = _truth_indicator(phi, vars) if alts is None else _down_set(alts, 1 << len(vars))
+    ind = _down_set(alternatives(phi, vars), 1 << len(vars))
     return TeamFamily(vars, frozenset(_bit_positions(ind)))
 
 
@@ -546,10 +552,7 @@ def entails(
     alternative of ``psi``."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "entailment")
-    a = _alternatives(phi, vars)
-    b = None if a is None else _alternatives(psi, vars)
-    if b is None:
-        return _truth_indicator(phi, vars) & ~_truth_indicator(psi, vars) == 0
+    a, b = alternatives(phi, vars), alternatives(psi, vars)
     return all(any(x & ~y == 0 for y in b) for x in a)
 
 
@@ -564,11 +567,7 @@ def equivalent(
     equal sets of alternatives (a family has one set of maximal members)."""
     vars = var_set(phi).union(var_set(psi))
     _check_cap(len(vars), max_vars, force, "equivalence")
-    a = _alternatives(phi, vars)
-    b = None if a is None else _alternatives(psi, vars)
-    if b is None:
-        return _truth_indicator(phi, vars) == _truth_indicator(psi, vars)
-    return set(a) == set(b)
+    return set(alternatives(phi, vars)) == set(alternatives(psi, vars))
 
 
 # --- Property suite -------------------------------------------------------

@@ -228,11 +228,11 @@ def full_team(vars: VarSet) -> Team:
     return Team(vars, (1 << (1 << len(vars))) - 1)
 
 
-def enumerate_teams(vars: VarSet, cap: int = TEAM_ENUM_CAP) -> Iterator[Team]:
+def enumerate_teams(vars: VarSet) -> Iterator[Team]:
     """All ``2^(2^|vars|)`` teams, smallest cardinality first, then by mask."""
-    if len(vars) > cap:
+    if len(vars) > TEAM_ENUM_CAP:
         raise CapExceededError(
-            f"enumerating teams over {len(vars)} variables exceeds the cap of {cap}"
+            f"enumerating teams over {len(vars)} variables exceeds the cap of {TEAM_ENUM_CAP}"
         )
     for m in _team_order(1 << len(vars)):
         yield Team(vars, m)

@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-Everything here favours clarity over speed: no memoisation, no indicator
-bitboards, no clever split enumeration.  The real engines must agree with
-these transcriptions on small inputs.
+Everything here favours clarity over speed: no memoisation, no clever
+split enumeration, and no indicator bitboards outside the synthesis greedy,
+which judges by the indicator engine as the library once did.  The real
+engines must agree with these transcriptions on small inputs.
 """
 
 import itertools
 import re
+from functools import reduce
 
 from hypothesis import strategies as st
 
@@ -25,8 +27,9 @@ from tsw.formulas import (
     Top,
     Variable,
 )
+from tsw.expressiveness import theta_star
 from tsw.parsing import MAX_NESTING_DEPTH
-from tsw.semantics import evaluate
+from tsw.semantics import _truth_indicator, evaluate
 from tsw.teams import Team, VarSet
 
 
@@ -347,6 +350,30 @@ def reference_parse(text, mode="pt0"):
     if mode not in ("pt0", "inql"):
         raise ValueError(f"unknown parse mode {mode!r}")
     return _ReferenceParser(text, mode).formula()
+
+
+def reference_synth_pd_minimized(K):
+    """A greedy minimisation of ``synth_pd``'s conjunction of ``theta_star``
+    over the nonempty teams outside the family ``K``, smallest teams first:
+    drop each conjunct whose removal keeps the truth set ``K``, judged by the
+    indicator engine.  The reference for ``synth_pd(K, minimize=True)``."""
+    npat = 1 << len(K.vars)
+    kept = [
+        theta_star(Team(K.vars, mask), K.vars)
+        for mask in sorted(range(1, 1 << npat), key=lambda m: (m.bit_count(), m))
+        if mask not in K.masks
+    ]
+    if not kept:
+        return Top()
+    target = sum(1 << m for m in K.masks)
+    i = 0
+    while i < len(kept) and len(kept) > 1:
+        trial = kept[:i] + kept[i + 1 :]
+        if _truth_indicator(reduce(And, trial), K.vars) == target:
+            kept = trial
+        else:
+            i += 1
+    return reduce(And, kept)
 
 
 def downward_closed_family_masks(npat):

@@ -75,6 +75,21 @@ def test_inline_team_requires_vars(capsys):
     assert "--vars" in err
 
 
+def test_vars_flag_keeps_the_given_order(capsys, tmp_path):
+    # inline rows are read in the --vars order, as a team file's rows are
+    code, out, _ = run(capsys, "eval", "-f", "q", "-t", "[[1,0]]", "--vars", "q,p")
+    assert (code, out) == (0, "true\n")
+    path = tmp_path / "team.json"
+    path.write_text(json.dumps({"vars": ["q", "p"], "team": [[1, 0]]}))
+    code, out, _ = run(capsys, "eval", "-f", "q", "-t", str(path))
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "eval", "-f", "q", "-t", str(path), "--vars", "q,p")
+    assert (code, out) == (0, "true\n")
+    code, out, err = run(capsys, "eval", "-f", "q", "-t", "[[1,0]]", "--vars", "q,q")
+    assert (code, out) == (1, "")
+    assert err == "error: duplicate variables in variable set\n"
+
+
 def test_truthset_human(capsys):
     code, out, _ = run(capsys, "truthset", "-f", "=(p)")
     assert code == 0

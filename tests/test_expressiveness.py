@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from tsw.teams import (
     full_team,
 )
 
-from .helpers import NO_VARS, P, PQ, st_team
+from .helpers import NO_VARS, P, PQ, PQR, reference_synth_pd_minimized, st_team
 
 p, q = Variable("p"), Variable("q")
 
@@ -115,6 +117,24 @@ def test_synth_minimize_never_grows():
         small = synth_pd(fam, minimize=True)
         assert truth_set(small, P) == fam
         assert len(to_text(small)) <= len(to_text(full))
+
+
+def test_synth_minimize_matches_the_greedy_reference():
+    # over 0-2 variables, every downward-closed family
+    fams = [f for vs in (NO_VARS, P, PQ) for f in enumerate_downward_closed_families(vs)]
+    assert len(fams) == 174
+    for fam in fams:
+        assert synth_pd(fam, minimize=True) == reference_synth_pd_minimized(fam), fam
+
+
+def test_synth_minimize_three_variable_families():
+    rng = random.Random(7)
+    for _ in range(3):
+        tops = [rng.getrandbits(8) for _ in range(rng.randint(1, 4))]
+        fam = TeamFamily(PQR, frozenset(m for m in range(256) if any(m & ~t == 0 for t in tops)))
+        phi = synth_pd(fam, minimize=True)
+        assert fragment_check(phi, Fragment.PD)
+        assert truth_set(phi, PQR) == fam
 
 
 def test_synth_rejects_open_families():

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 
 from tsw.errors import CapExceededError, ValidationError
-from tsw.formulas import And, Fragment, IDisj, Impl, Tensor, Top, Variable
+from tsw.expressiveness import theta_star
+from tsw.formulas import And, Fragment, IDisj, Impl, Tensor, Top, Variable, syntax_tree
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
-    _alternatives,
     _bit_positions,
     _down_set,
     _truth_indicator,
+    alternatives,
     check_basic_properties,
     entails,
     equivalent,
     evaluate,
+    node_alternatives,
     truth_set,
     valid,
     var_set,
@@ -324,8 +326,7 @@ def test_nested_implications_of_dependence_atoms_against_indicator():
     formulas = (phi, psi, chi, IDisj(chi, parse("p")))
     indicators = [_truth_indicator(f, vs) for f in formulas]
     for f, ind in zip(formulas, indicators):
-        alts = _alternatives(f, vs)
-        assert alts is not None and _down_set(alts, 16) == ind, f
+        assert _down_set(walk_alternatives(f, vs), 16) == ind, f
     for a, ind_a in zip(formulas, indicators):
         for b, ind_b in zip(formulas, indicators):
             assert entails(a, b, force=True) == (ind_a & ~ind_b == 0), (a, b)
@@ -333,10 +334,30 @@ def test_nested_implications_of_dependence_atoms_against_indicator():
     assert entails(phi, psi, force=True) and not entails(psi, phi, force=True)
 
 
+def walk_alternatives(phi, vars):
+    """The alternatives of ``phi`` on the full team from the walk alone."""
+    tree = syntax_tree(phi)
+    return node_alternatives(tree, (), full_team(vars))[tree.root]
+
+
+def test_alternatives_past_the_budget_are_the_indicators_maximal_teams():
+    full = (1 << 16) - 1
+    vs = VarSet.of("a", "b", "c", "d")
+    theta = theta_star(full_team(vs))
+    with pytest.raises(CapExceededError):
+        walk_alternatives(theta, vs)
+    assert sorted(alternatives(theta, vs)) == sorted(full ^ (1 << j) for j in range(16))
+    pin = parse("(=(p,q,r;s) + =(p,q,r;s)) -> =(p,q,r;s) + =(p,q,r;s)")
+    with pytest.raises(CapExceededError):
+        walk_alternatives(pin, VarSet.of("p", "q", "r", "s"))
+    assert alternatives(pin, VarSet.of("p", "q", "r", "s")) == [full]
+
+
 def test_judgments_fall_back_to_the_indicator_past_the_budget():
     phi = parse("(=(p,q,r;s) + =(p,q,r;s)) -> =(p,q,r;s) + =(p,q,r;s)")
     vs = VarSet.of("p", "q", "r", "s")
-    assert _alternatives(phi, vs) is None  # the walk exceeds its budget
+    with pytest.raises(CapExceededError):  # the walk exceeds its budget
+        walk_alternatives(phi, vs)
     family = truth_set(phi, force=True)
     assert len(family) == 65_536
     assert family.masks == frozenset(_bit_positions(_truth_indicator(phi, vs)))
