@@ -69,8 +69,7 @@ def _build_parser() -> _Parser:
     def flag_vars(p):
         p.add_argument("--vars", help="comma-separated variable names")
 
-    def flag_caps(p):
-        p.add_argument("--max-vars", type=int, default=3, help="variable cap (default 3)")
+    def flag_force(p):
         p.add_argument("--force", action="store_true", help="raise the cap to the hard maximum")
 
     p = cmd("parse", "parse a formula and print its canonical form")
@@ -86,7 +85,7 @@ def _build_parser() -> _Parser:
     p = cmd("truthset", "all satisfying teams over a variable set")
     p.add_argument("-f", "--formula", required=True)
     flag_vars(p)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("valid", "whether every team satisfies the formula")
@@ -95,19 +94,19 @@ def _build_parser() -> _Parser:
 
     p = cmd("entails", "whether the first formula entails the second")
     p.add_argument("-f", "--formula", action="append", required=True)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("equiv", "whether two formulas have the same truth set")
     p.add_argument("-f", "--formula", action="append", required=True)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("properties", "check the guaranteed structural properties")
     p.add_argument("-f", "--formula", required=True)
     flag_vars(p)
     p.add_argument("--seed", type=int, default=0)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("theta", "the formula excluding one team from all its superteams")
@@ -119,13 +118,13 @@ def _build_parser() -> _Parser:
     p = cmd("synth", "synthesize a formula for a downward-closed family")
     p.add_argument("--family", required=True, help="family JSON file")
     p.add_argument("--target", choices=["pd", "inql"], required=True)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("translate", "re-express a formula in a target fragment")
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("--target", choices=["pd", "inql"], required=True)
-    flag_caps(p)
+    flag_force(p)
     flag_json(p)
 
     p = cmd("subst", "substitute instances into a context's placeholders")
@@ -257,7 +256,7 @@ def _run(args) -> tuple[str, dict]:
     if args.command == "truthset":
         phi = parse(args.formula)
         vars = _parse_vars(args.vars)
-        family = truth_set(phi, vars, max_vars=args.max_vars, force=args.force)
+        family = truth_set(phi, vars, force=args.force)
         lines = [f"{len(family)} teams over {{{','.join(family.vars.names())}}}"]
         lines += [json.dumps(team.rows()) for team in family.teams()]
         return "\n".join(lines), family.to_json()
@@ -267,20 +266,16 @@ def _run(args) -> tuple[str, dict]:
 
     if args.command == "entails":
         a, b = _two_formulas(args.formula, "entails")
-        return _bool_result(entails(a, b, max_vars=args.max_vars, force=args.force))
+        return _bool_result(entails(a, b, force=args.force))
 
     if args.command == "equiv":
         a, b = _two_formulas(args.formula, "equiv")
-        return _bool_result(equivalent(a, b, max_vars=args.max_vars, force=args.force))
+        return _bool_result(equivalent(a, b, force=args.force))
 
     if args.command == "properties":
         phi = parse(args.formula)
         report = check_basic_properties(
-            phi,
-            _parse_vars(args.vars),
-            seed=args.seed,
-            max_vars=args.max_vars,
-            force=args.force,
+            phi, _parse_vars(args.vars), seed=args.seed, force=args.force
         )
         human = "\n".join(
             f"{c.name}: {'pass' if c.passed else 'FAIL'}  ({c.detail})" for c in report.checks
@@ -294,13 +289,11 @@ def _run(args) -> tuple[str, dict]:
     if args.command == "synth":
         family = _load_family(args.family)
         synth = synth_pd if args.target == "pd" else synth_inql
-        return _formula_result(synth(family, max_vars=args.max_vars, force=args.force))
+        return _formula_result(synth(family, force=args.force))
 
     if args.command == "translate":
         phi = parse(args.formula)
-        return _formula_result(
-            translate(phi, args.target, max_vars=args.max_vars, force=args.force)
-        )
+        return _formula_result(translate(phi, args.target, force=args.force))
 
     if args.command == "subst":
         context = parse(args.context)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Optional, Sequence
 
@@ -579,25 +579,16 @@ def instance_label(instances: Sequence[Formula]) -> str:
     return ",".join(one(f) for f in instances)
 
 
-# Batteries by (connective, battery variables, extended), oldest dropped
-# first: each vector with the variables of its instances and, per variable
-# set of the teams, the connective's verdicts in enumerate_teams order, as
-# far as a scan has needed them.  So the connective side is computed once
-# per vector and variable set, not once per context.
-_BATTERY_CACHE_SIZE = 64
-_batteries: dict[tuple, list[tuple[tuple[Formula, ...], VarSet, dict]]] = {}
-
-
+@lru_cache(maxsize=64)
 def _cached_battery(c: ConnectiveSpec, nprime: VarSet, extended: bool) -> list[tuple]:
-    key = (c, nprime, extended)
-    if key not in _batteries:
-        if len(_batteries) >= _BATTERY_CACHE_SIZE:
-            del _batteries[next(iter(_batteries))]
-        _batteries[key] = [
-            (instances, reduce(VarSet.union, map(var_set, instances)), {})
-            for instances in _battery(c, nprime, extended)
-        ]
-    return _batteries[key]
+    """The battery: each vector with the variables of its instances and, per
+    variable set of the teams, the connective's verdicts in enumerate_teams
+    order, as far as a scan has needed them.  So the connective side is
+    computed once per vector and variable set, not once per context."""
+    return [
+        (instances, reduce(VarSet.union, map(var_set, instances)), {})
+        for instances in _battery(c, nprime, extended)
+    ]
 
 
 def _refute_or_none(
@@ -967,6 +958,8 @@ def search_contexts(c: ConnectiveSpec, atom_pool: Sequence[Formula], max_size: i
         raise CapExceededError(f"search for {c.name!r} is capped at size {cap}")
     start = time.perf_counter()
     pool, texts = _search_pool(c, atom_pool)
+    if max_size < 1:
+        return SearchReport(connective=c.name, pool=texts, max_size=max_size)
     sigs = _Signatures(
         c, pool, (max_size + 1) // 2, None if max_size <= LISTING_MAX_SIZE else MAX_SIGNATURES
     )
@@ -1107,9 +1100,7 @@ def _connective_entails_component(
 ) -> bool:
     """Whether every team satisfying the applied connective satisfies the
     i-th instance (1-based)."""
-    vars = VarSet(())
-    for inst in instances:
-        vars = vars.union(var_set(inst))
+    vars = reduce(VarSet.union, map(var_set, instances), VarSet(()))
     target = instances[i - 1]
     return all(
         evaluate(target, team)
@@ -1165,9 +1156,7 @@ def condition_check(c: ConnectiveSpec) -> ConditionReport:
             )
         )
 
-    vars = VarSet(())
-    for inst in ii_vector:
-        vars = vars.union(var_set(inst))
+    vars = reduce(VarSet.union, map(var_set, ii_vector), VarSet(()))
     ii_holds = c.evaluate(ii_vector, full_team(vars))
     witnesses.append(
         ConditionWitness(
@@ -1180,9 +1169,7 @@ def condition_check(c: ConnectiveSpec) -> ConditionReport:
         )
     )
 
-    vars = VarSet((p,))
-    for inst in iii_vector:
-        vars = vars.union(var_set(inst))
+    vars = reduce(VarSet.union, map(var_set, iii_vector), VarSet((p,)))
     iii_holds = not c.evaluate(iii_vector, full_team(vars))
     witnesses.append(
         ConditionWitness(

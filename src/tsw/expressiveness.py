@@ -13,7 +13,7 @@ translation between the two fragments.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ValidationError
 from .formulas import (
@@ -30,7 +30,7 @@ from .formulas import (
     Top,
     Variable,
 )
-from .semantics import DEFAULT_MAX_VARS, _check_cap, truth_set
+from .semantics import _check_cap, truth_set
 from .teams import Team, TeamFamily, VarSet, is_downward_closed
 
 
@@ -44,9 +44,9 @@ def _valuation_literal(pattern: int, vars: VarSet) -> Formula:
     return reduce(And, lits)
 
 
-def theta_star(X: Team, N: Optional[VarSet] = None, *, raw: bool = False) -> Formula:
-    """A PD formula over ``N`` satisfied by a team Y iff X is not a subteam
-    of Y.
+def theta_star(X: Team, *, raw: bool = False) -> Formula:
+    """A PD formula over X's own variables N satisfied by a team Y over N
+    iff X is not a subteam of Y.
 
     Shape: a tensor of |X|-1 copies of the all-variables constancy
     conjunction, tensored with one literal conjunction per valuation
@@ -55,12 +55,9 @@ def theta_star(X: Team, N: Optional[VarSet] = None, *, raw: bool = False) -> For
     explicit top-level tensor, each half materializing as ``bot`` when
     empty.
     """
-    if N is None:
-        N = X.vars
-    elif X.vars != N:
-        raise ValidationError("the team is not over the given variable set")
     if X.is_empty:
         raise ValidationError("theta_star needs a nonempty team")
+    N = X.vars
     m = X.size - 1
     copies: list[Formula] = []
     if m:
@@ -87,20 +84,14 @@ def _validate_family(K: TeamFamily) -> None:
         )
 
 
-def synth_pd(
-    K: TeamFamily,
-    *,
-    minimize: bool = False,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> Formula:
+def synth_pd(K: TeamFamily, *, minimize: bool = False, force: bool = False) -> Formula:
     """A PD formula whose truth set over ``K.vars`` is exactly ``K``: the
     conjunction, over every nonempty team outside ``K``, of that team's
     ``theta_star``, smallest teams first.  With ``minimize``, only the
     minimal such teams: a team contains a team outside the down-set ``K``
     iff it contains a minimal one, so the other conjuncts add nothing."""
     _validate_family(K)
-    _check_cap(len(K.vars), max_vars, force, "synthesis")
+    _check_cap(len(K.vars), force, "synthesis")
     npat = 1 << len(K.vars)
     excluded = [
         mask
@@ -115,7 +106,7 @@ def synth_pd(
         ]
     if not excluded:
         return Top()
-    return reduce(And, [theta_star(Team(K.vars, mask), K.vars) for mask in excluded])
+    return reduce(And, [theta_star(Team(K.vars, mask)) for mask in excluded])
 
 
 def _inql_literal(pattern: int, vars: VarSet) -> Formula:
@@ -142,17 +133,12 @@ def _flat_description(X: Team) -> Formula:
     return reduce(_classical_or, descriptions)
 
 
-def synth_inql(
-    K: TeamFamily,
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> Formula:
+def synth_inql(K: TeamFamily, *, force: bool = False) -> Formula:
     """An InqL formula whose truth set over ``K.vars`` is exactly ``K``:
     the inquisitive disjunction, over the maximal teams of ``K``, of a
     flat description of each."""
     _validate_family(K)
-    _check_cap(len(K.vars), max_vars, force, "synthesis")
+    _check_cap(len(K.vars), force, "synthesis")
     branches = [_flat_description(X) for X in K.maximal_teams()]
     return reduce(IDisj, branches)
 
@@ -168,20 +154,14 @@ def _resolve_target(target: Union[Fragment, str]) -> Fragment:
     return target
 
 
-def translate(
-    phi: Formula,
-    target: Union[Fragment, str],
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> Formula:
+def translate(phi: Formula, target: Union[Fragment, str], *, force: bool = False) -> Formula:
     """An equivalent formula (over ``phi``'s own variables) in the target
     fragment, obtained by synthesizing from the truth set."""
     target = _resolve_target(target)
-    K = truth_set(phi, max_vars=max_vars, force=force)
+    K = truth_set(phi, force=force)
     if target is Fragment.PD:
-        return synth_pd(K, max_vars=max_vars, force=force)
-    return synth_inql(K, max_vars=max_vars, force=force)
+        return synth_pd(K, force=force)
+    return synth_inql(K, force=force)
 
 
 def _settled(v: Variable) -> Formula:

@@ -37,7 +37,7 @@ class Variable:
     name: str
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ValidationError(f"bad variable name {self.name!r}")
         if _RESERVED_RE.match(self.name):
             raise ValidationError(
@@ -231,11 +231,11 @@ def subformulas(phi: Formula) -> list[Formula]:
     return out
 
 
-def scan_variables(phi: Formula) -> tuple[set[Variable], bool]:
-    """The variables occurring in ``phi``, and whether a placeholder
-    occurs, from one walk."""
+def scan_variables(phi: Formula) -> tuple[set[Variable], set[int]]:
+    """The variables occurring in ``phi`` and the indices of its
+    placeholders, from one walk."""
     acc: set[Variable] = set()
-    placeholder = False
+    placeholders: set[int] = set()
     stack = [phi]
     while stack:
         f = stack.pop()
@@ -249,8 +249,8 @@ def scan_variables(phi: Formula) -> tuple[set[Variable], bool]:
             acc.update(f.args)
             acc.add(f.target)
         elif t is Placeholder:
-            placeholder = True
-    return acc, placeholder
+            placeholders.add(f.index)
+    return acc, placeholders
 
 
 def variables(phi: Formula) -> tuple[Variable, ...]:
@@ -259,16 +259,7 @@ def variables(phi: Formula) -> tuple[Variable, ...]:
 
 
 def placeholder_indices(phi: Formula) -> tuple[int, ...]:
-    acc: set[int] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, BINARY_NODES):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Placeholder):
-            acc.add(f.index)
-    return tuple(sorted(acc))
+    return tuple(sorted(scan_variables(phi)[1]))
 
 
 def is_context(phi: Formula) -> bool:

@@ -69,10 +69,9 @@ from .formulas import (
     substituent,
     to_text,
 )
-from .teams import Team, TeamFamily, VarSet, full_team, maximal_masks
+from .teams import TEAM_ENUM_CAP, Team, TeamFamily, VarSet, full_team, maximal_masks
 
-DEFAULT_MAX_VARS = 3
-HARD_MAX_VARS = 4
+DEFAULT_CAP = 3
 
 # Most candidate teams one evaluation may form before it gives up: pairs of
 # alternatives combined at binary nodes, choices of a dependence atom, and
@@ -86,12 +85,14 @@ def var_set(phi: Formula) -> VarSet:
     return VarSet.from_variables(scan_variables(phi)[0])
 
 
-def _check_cap(n: int, max_vars: int, force: bool, what: str) -> None:
-    """Whole-truth-set operations take ``max_vars`` variables up to a default
-    ceiling of 3, or the hard maximum of 4 when forced."""
-    cap = HARD_MAX_VARS if force else min(max_vars, DEFAULT_MAX_VARS)
+def _check_cap(n: int, force: bool, what: str) -> None:
+    """The one variable cap of the operations that range over all 2^2^n
+    teams: ``DEFAULT_CAP`` variables, or ``TEAM_ENUM_CAP`` with ``force``."""
+    cap = TEAM_ENUM_CAP if force else DEFAULT_CAP
     if n > cap:
-        hint = " (force raises it to the hard maximum of 4)" if n <= HARD_MAX_VARS else ""
+        hint = ""
+        if n <= TEAM_ENUM_CAP:
+            hint = f" (force raises it to the hard maximum of {TEAM_ENUM_CAP})"
         raise CapExceededError(f"{what} over {n} variables exceeds the cap of {cap}{hint}")
 
 
@@ -113,8 +114,8 @@ def _var_ones(n: int, i: int) -> int:
     return got
 
 
-def _check_closed(used: set[Variable], placeholder: bool, team: Team) -> None:
-    if placeholder:
+def _check_closed(used: set[Variable], placeholders: set[int], team: Team) -> None:
+    if placeholders:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
     missing = sorted(v.name for v in used if v not in team.vars)
     if missing:
@@ -124,8 +125,8 @@ def _check_closed(used: set[Variable], placeholder: bool, team: Team) -> None:
 def _closed_on(phi: Formula, team: Team) -> set[Variable]:
     """The variables of ``phi``, checked to be placeholder-free and among
     the team's."""
-    used, placeholder = scan_variables(phi)
-    _check_closed(used, placeholder, team)
+    used, placeholders = scan_variables(phi)
+    _check_closed(used, placeholders, team)
     return used
 
 
@@ -146,7 +147,7 @@ def node_alternatives(
     the node when ``T & ~a == 0`` for one of them.  The instance is checked
     as ``evaluate`` checks it, and the whole tree shares one budget."""
     used = scan_variables(tree.nodes[tree.root].formula)[0]
-    placeholder = False
+    placeholders: set[int] = set()
     insts: dict[int, Formula] = {}
     for node in tree.nodes:  # pre-order, as substitute meets the leaves
         f = node.formula
@@ -154,8 +155,8 @@ def node_alternatives(
             inst = insts[f.index] = substituent(theta, f.index)
             vs, ph = scan_variables(inst)
             used |= vs
-            placeholder = placeholder or ph
-    _check_closed(used, placeholder, team)
+            placeholders |= ph
+    _check_closed(used, placeholders, team)
     walk = _Walk(team, used)
     bound = {i: walk.alternatives(inst) for i, inst in insts.items()}
     alts: list[list[int]] = [[]] * len(tree.nodes)
@@ -435,8 +436,8 @@ def _bit_positions(x: int) -> list[int]:
 def _closed_variables(phi: Formula, vars: VarSet) -> set[Variable]:
     """The variables of ``phi``, checked to be placeholder-free and inside
     ``vars``."""
-    used, placeholder = scan_variables(phi)
-    if placeholder:
+    used, placeholders = scan_variables(phi)
+    if placeholders:
         raise ValidationError("cannot take the truth set of a context")
     for v in sorted(used):
         if v not in vars:
@@ -447,9 +448,9 @@ def _closed_variables(phi: Formula, vars: VarSet) -> set[Variable]:
 def _truth_indicator(phi: Formula, vars: VarSet) -> int:
     _closed_variables(phi, vars)
     n = len(vars)
-    if n > HARD_MAX_VARS:
+    if n > TEAM_ENUM_CAP:
         raise CapExceededError(
-            f"indicator construction over {n} variables exceeds the hard maximum of {HARD_MAX_VARS}"
+            f"indicator construction over {n} variables exceeds the hard maximum of {TEAM_ENUM_CAP}"
         )
     npat = 1 << n
     all_teams = (1 << (1 << npat)) - 1
@@ -519,17 +520,11 @@ def alternatives(phi: Formula, vars: VarSet) -> list[int]:
         return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
 
 
-def truth_set(
-    phi: Formula,
-    vars: Optional[VarSet] = None,
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> TeamFamily:
+def truth_set(phi: Formula, vars: Optional[VarSet] = None, *, force: bool = False) -> TeamFamily:
     """The family of all teams over ``vars`` satisfying ``phi``."""
     if vars is None:
         vars = var_set(phi)
-    _check_cap(len(vars), max_vars, force, "truth set")
+    _check_cap(len(vars), force, "truth set")
     ind = _down_set(alternatives(phi, vars), 1 << len(vars))
     return TeamFamily(vars, frozenset(_bit_positions(ind)))
 
@@ -540,33 +535,21 @@ def valid(phi: Formula) -> bool:
     return evaluate(phi, full_team(var_set(phi)))
 
 
-def entails(
-    phi: Formula,
-    psi: Formula,
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> bool:
+def entails(phi: Formula, psi: Formula, *, force: bool = False) -> bool:
     """Whether every team (over the combined variables) satisfying ``phi``
     satisfies ``psi``: whether each alternative of ``phi`` lies inside an
     alternative of ``psi``."""
     vars = var_set(phi).union(var_set(psi))
-    _check_cap(len(vars), max_vars, force, "entailment")
+    _check_cap(len(vars), force, "entailment")
     a, b = alternatives(phi, vars), alternatives(psi, vars)
     return all(any(x & ~y == 0 for y in b) for x in a)
 
 
-def equivalent(
-    phi: Formula,
-    psi: Formula,
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-    force: bool = False,
-) -> bool:
+def equivalent(phi: Formula, psi: Formula, *, force: bool = False) -> bool:
     """Mutual entailment: equal truth sets over the combined variables, so
     equal sets of alternatives (a family has one set of maximal members)."""
     vars = var_set(phi).union(var_set(psi))
-    _check_cap(len(vars), max_vars, force, "equivalence")
+    _check_cap(len(vars), force, "equivalence")
     return set(alternatives(phi, vars)) == set(alternatives(psi, vars))
 
 
@@ -625,7 +608,6 @@ def check_basic_properties(
     vars: Optional[VarSet] = None,
     *,
     seed: int = 0,
-    max_vars: int = DEFAULT_MAX_VARS,
     force: bool = False,
 ) -> PropertyReport:
     """Check the structural properties every placeholder-free formula of
@@ -637,7 +619,7 @@ def check_basic_properties(
     carries a witness."""
     if vars is None:
         vars = var_set(phi)
-    _check_cap(len(vars), max_vars, force, "property checking")
+    _check_cap(len(vars), force, "property checking")
     report = PropertyReport(formula=to_text(phi), vars=vars.names())
     n = len(vars)
     npat = 1 << n

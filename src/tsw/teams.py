@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ValidationError
 from .formulas import Variable
@@ -20,8 +20,21 @@ from .formulas import Variable
 # single full team mask is unreasonably large.
 MAX_TEAM_VARS = 24
 
+# 2^2^4 = 65,536 teams; also the most variables a truth set is built over.
 TEAM_ENUM_CAP = 4
 FAMILY_ENUM_CAP = 2
+
+
+def _as_list(value, what: str) -> Sequence:
+    """``value``, which must be a list or tuple: input read from JSON can
+    hold any value in any place."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_vars(obj: dict) -> "VarSet":
+    return VarSet(tuple(Variable(n) for n in _as_list(obj["vars"], '"vars"')))
 
 
 @dataclass(frozen=True)
@@ -83,13 +96,13 @@ class Valuation:
             raise ValidationError("valuation bits out of range for the variable set")
 
     @classmethod
-    def from_row(cls, vars: VarSet, row: Iterable[int]) -> "Valuation":
-        row = list(row)
+    def from_row(cls, vars: VarSet, row: Sequence[int]) -> "Valuation":
+        row = _as_list(row, "a team row")
         if len(row) != len(vars):
             raise ValidationError(f"row length {len(row)} does not match {len(vars)} variables")
         bits = 0
         for i, cell in enumerate(row):
-            if cell not in (0, 1):
+            if cell not in (0, 1) or not isinstance(cell, int):
                 raise ValidationError(f"valuation entries must be 0 or 1, got {cell!r}")
             bits |= cell << i
         return cls(vars, bits)
@@ -140,9 +153,9 @@ class Team:
         return cls(vars, mask)
 
     @classmethod
-    def from_rows(cls, vars: VarSet, rows: Iterable[Iterable[int]]) -> "Team":
+    def from_rows(cls, vars: VarSet, rows: Sequence[Sequence[int]]) -> "Team":
         mask = 0
-        for row in rows:
+        for row in _as_list(rows, "a team"):
             bit = 1 << Valuation.from_row(vars, row).bits
             if mask & bit:
                 raise ValidationError(f"duplicated row {list(row)}")
@@ -217,8 +230,7 @@ class Team:
     def from_json(cls, obj: dict) -> "Team":
         if not isinstance(obj, dict) or "vars" not in obj or "team" not in obj:
             raise ValidationError('team JSON must be {"vars": [...], "team": [[...], ...]}')
-        vars = VarSet(tuple(Variable(n) for n in obj["vars"]))
-        return cls.from_rows(vars, obj["team"])
+        return cls.from_rows(_json_vars(obj), obj["team"])
 
 
 def full_team(vars: VarSet) -> Team:
@@ -317,8 +329,9 @@ class TeamFamily:
     def from_json(cls, obj: dict) -> "TeamFamily":
         if not isinstance(obj, dict) or "vars" not in obj or "teams" not in obj:
             raise ValidationError('family JSON must be {"vars": [...], "teams": [[[...]], ...]}')
-        vars = VarSet(tuple(Variable(n) for n in obj["vars"]))
-        return cls.from_teams([Team.from_rows(vars, rows) for rows in obj["teams"]], vars)
+        vars = _json_vars(obj)
+        teams = _as_list(obj["teams"], '"teams"')
+        return cls.from_teams([Team.from_rows(vars, rows) for rows in teams], vars)
 
 
 def is_downward_closed(family: TeamFamily) -> bool:
@@ -337,14 +350,13 @@ def is_downward_closed(family: TeamFamily) -> bool:
     return True
 
 
-def enumerate_downward_closed_families(
-    vars: VarSet, cap: int = FAMILY_ENUM_CAP
-) -> Iterator[TeamFamily]:
+def enumerate_downward_closed_families(vars: VarSet) -> Iterator[TeamFamily]:
     """All families over ``vars`` that contain the empty team and are closed
     under subteams, in ascending order of their membership indicator."""
-    if len(vars) > cap:
+    if len(vars) > FAMILY_ENUM_CAP:
         raise CapExceededError(
-            f"enumerating families over {len(vars)} variables exceeds the cap of {cap}"
+            f"enumerating families over {len(vars)} variables exceeds the cap of "
+            f"{FAMILY_ENUM_CAP}"
         )
     npat = 1 << len(vars)
     nteams = 1 << npat

@@ -359,7 +359,7 @@ def reference_synth_pd_minimized(K):
     indicator engine.  The reference for ``synth_pd(K, minimize=True)``."""
     npat = 1 << len(K.vars)
     kept = [
-        theta_star(Team(K.vars, mask), K.vars)
+        theta_star(Team(K.vars, mask))
         for mask in sorted(range(1, 1 << npat), key=lambda m: (m.bit_count(), m))
         if mask not in K.masks
     ]

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tsw.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +90,34 @@ def test_vars_flag_keeps_the_given_order(capsys, tmp_path):
     code, out, err = run(capsys, "eval", "-f", "q", "-t", "[[1,0]]", "--vars", "q,q")
     assert (code, out) == (1, "")
     assert err == "error: duplicate variables in variable set\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vars": [1], "team": [[0]]},
+        {"vars": None, "team": [[0]]},
+        {"vars": "pq", "team": [[0, 0]]},
+        {"vars": ["p"], "team": [[0], 5]},
+        {"vars": ["p"], "teams": [[[0]], 3]},
+        "[0]",
+        "[[0.0]]",
+    ],
+    ids=["int_var", "null_vars", "string_vars", "int_row", "int_team", "flat_rows", "float_cell"],
+)
+def test_malformed_team_input_exits_one(capsys, tmp_path, obj):
+    if isinstance(obj, str):  # inline rows
+        code, out, err = run(capsys, "eval", "-f", "p", "-t", obj, "--vars", "p")
+    elif "teams" in obj:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "synth", "--family", str(path), "--target", "pd")
+    else:
+        path = tmp_path / "team.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "eval", "-f", "p", "-t", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_truthset_human(capsys):
@@ -281,6 +311,25 @@ def test_search_has_no_jobs_flag(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: unrecognized arguments: --jobs 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truthset", "-f", "p"],
+        ["entails", "-f", "p", "-f", "p"],
+        ["equiv", "-f", "p", "-f", "p"],
+        ["properties", "-f", "p"],
+        ["synth", "--family", "family.json", "--target", "pd"],
+        ["translate", "-f", "p", "--target", "pd"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_max_vars_flag(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-vars", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --max-vars 3\n"
 
 
 def test_search_closure_json(capsys):

@@ -668,7 +668,7 @@ def _without_elapsed(report):
 @pytest.mark.parametrize("name", ["or", "imp", "contra"])
 def test_search_matches_the_reference(name, pool):
     c = contra() if name == "contra" else builtin_connective(name)
-    for size in (1, 3, 5, 7):
+    for size in (-1, 0, 1, 2, 3, 5, 7):
         # byte for byte, so the order of by_instance and unrefuted counts too
         got = _without_elapsed(search_contexts(c, pool, size))
         assert got == _without_elapsed(reference_search(c, pool, size)), (name, size)

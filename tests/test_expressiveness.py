@@ -31,8 +31,6 @@ def test_theta_pins():
 def test_theta_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         theta_star(Team.empty(P))
-    with pytest.raises(ValidationError):
-        theta_star(full_team(P), PQ)
 
 
 def test_theta_law_one_variable():

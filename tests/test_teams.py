@@ -166,6 +166,15 @@ def test_family_json_round_trip():
     assert TeamFamily.from_json(obj) == fam
 
 
+def test_family_masks_in_range():
+    # over {p} the team masks are 0..3
+    assert len(TeamFamily(P, frozenset({0, 3}))) == 2
+    assert len(TeamFamily(P, frozenset())) == 0
+    for bad in ({4}, {0, 4}, {-1, 1}):
+        with pytest.raises(ValidationError, match="out of range"):
+            TeamFamily(P, frozenset(bad))
+
+
 def test_family_mixed_vars_rejected():
     with pytest.raises(ValidationError):
         TeamFamily.from_teams([Team.empty(P), Team.empty(PQ)])
