@@ -155,7 +155,6 @@ def _build_parser() -> _Parser:
     p = cmd("refute", "counterexample to a context defining a connective")
     p.add_argument("-c", "--context", required=True)
     p.add_argument("--connective", choices=["or", "imp"], required=True)
-    p.add_argument("--extended", action="store_true", help="append diagnostic instances")
     flag_json(p)
 
     p = cmd("search", "refute every context up to a size bound")
@@ -329,7 +328,7 @@ def _run(args) -> tuple[str, dict]:
     if args.command == "refute":
         context = parse(args.context)
         c = builtin_connective(args.connective)
-        ce = refute_uniform_definition(context, c, extended=args.extended)
+        ce = refute_uniform_definition(context, c)
         inst = ", ".join(to_text(t) for t in ce.instances)
         human = (
             f"instances: {inst}\n"

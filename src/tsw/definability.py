@@ -15,9 +15,18 @@ nodes share their team with both children, and ``+`` nodes are the union
 of theirs.  Satisfaction of the whole instance is equivalent to the
 existence of such an assignment rooted at the given team, which is what
 lets global facts about a context be read off its leaves.  Truth
-functions, their verification and the refutation battery are bit tests on
-the alternatives of every node (``semantics.node_alternatives``), and
-every ``+`` split is ``semantics.largest_split``.
+functions and their verification are bit tests on the alternatives of
+every node (``semantics.node_alternatives``), and every ``+`` split is
+``semantics.largest_split``.
+
+A connective is the PT0 context it abbreviates (``ConnectiveSpec.context``:
+``r1 | r2``, ``r1 -> r2``, or ``bot`` for ``contra``).  Both sides of a
+battery comparison are down-sets of teams, fixed by their alternatives on
+the full team (``semantics.alternatives``, which reads the placeholders as
+the vector's instances).  So refutation, consistency and the connective
+preconditions decide as ``semantics.entails`` does, and a counterexample
+is the first team, in ``enumerate_teams`` order, in exactly one of the two
+down-sets.
 
 The bounded search and the closure check never build the contexts they
 count.  On the battery, a context's verdict depends only on its
@@ -78,34 +87,36 @@ from .semantics import (
     node_alternatives,
     var_set,
 )
-from .teams import TEAM_ENUM_CAP, Team, VarSet, enumerate_teams, full_team
+from .teams import Team, VarSet, check_team_cap, full_team, team_masks
 
 
 # --- Connectives ----------------------------------------------------------
 
 
-def _eval_contra(instances: Sequence[Formula], team: Team) -> bool:
-    return team.is_empty
-
-
 @dataclass(frozen=True)
 class ConnectiveSpec:
-    """An m-ary team connective given by its semantic clause."""
+    """An m-ary team connective, given by the PT0 context it abbreviates:
+    applied to an instance vector, it is that context with ``r<i>`` read as
+    the i-th instance."""
 
     name: str
     arity: int
-    evaluate: Callable[[Sequence[Formula], Team], bool]
+    context: Formula
+
+    def evaluate(self, instances: Sequence[Formula], team: Team) -> bool:
+        """Whether ``team`` satisfies the connective applied to ``instances``."""
+        return evaluate(substitute(self.context, instances), team)
 
 
-IDISJ_SPEC = ConnectiveSpec("or", 2, lambda inst, team: evaluate(IDisj(*inst), team))
-IMPL_SPEC = ConnectiveSpec("imp", 2, lambda inst, team: evaluate(Impl(*inst), team))
+IDISJ_SPEC = ConnectiveSpec("or", 2, IDisj(Placeholder(1), Placeholder(2)))
+IMPL_SPEC = ConnectiveSpec("imp", 2, Impl(Placeholder(1), Placeholder(2)))
 
 
 def contra(arity: int = 2) -> ConnectiveSpec:
     """The contradictory connective: false on every nonempty team."""
     if arity < 1:
         raise ValidationError("contra needs arity at least 1")
-    return ConnectiveSpec("contra", arity, _eval_contra)
+    return ConnectiveSpec("contra", arity, Bottom())
 
 
 def builtin_connective(name: str, arity: int = 2) -> ConnectiveSpec:
@@ -131,35 +142,12 @@ def _require_pd(phi: Formula) -> None:
 
 
 def is_consistent(phi: Formula) -> bool:
-    """Whether some nonempty team satisfies the all-``top`` instance.
-
-    Satisfaction of PD formulas is closed under subteams, so testing the
-    singleton teams over the instance's own variables is exhaustive.
-    """
+    """Whether some nonempty team satisfies the all-``top`` instance: whether
+    one of its alternatives on the full team over its variables is nonempty.
+    Satisfaction is closed under subteams, so the nonempty teams satisfying
+    it are the nonempty ones inside an alternative."""
     _require_pd(phi)
-    vars = var_set(phi)
-    satisfied = _instance_test(syntax_tree(phi), phi, [Top()] * max_placeholder(phi), vars)
-    return any(satisfied(1 << pattern) for pattern in range(1 << len(vars)))
-
-
-def _instance_test(
-    tree: SyntaxTree, phi: Formula, theta: Sequence[Formula], vars: VarSet
-) -> Callable[[int], bool]:
-    """Whether a team mask over ``vars`` satisfies the instance: whether it
-    lies inside an alternative of the root on the full team.  Past the
-    budget, each team is evaluated on its own, so that a scan that stops at
-    a small team still answers."""
-    try:
-        alts = node_alternatives(tree, theta, full_team(vars))[tree.root]
-    except CapExceededError:
-        inst = substitute(phi, theta)
-        return lambda mask: evaluate(inst, Team(vars, mask))
-    return _inside(alts)
-
-
-def _inside(alts: list[int]) -> Callable[[int], bool]:
-    """Whether a team mask lies inside one of the alternatives ``alts``."""
-    return lambda mask: any(mask & ~a == 0 for a in alts)
+    return any(alternatives(phi, var_set(phi), [Top()] * max_placeholder(phi)))
 
 
 # Instance pool for spot-checking that a rewritten context behaves like the
@@ -537,30 +525,12 @@ class Counterexample:
 _P1_VARS = VarSet((Variable("p1"),))
 
 
-def _battery(
-    c: ConnectiveSpec, nprime: VarSet, extended: bool = False
-) -> list[tuple[Formula, ...]]:
+def _battery(c: ConnectiveSpec, nprime: VarSet) -> list[tuple[Formula, ...]]:
     theta = theta_star(full_team(nprime))
     if c.name == "or":
-        vectors = [
-            (Bottom(), Top()),
-            (Top(), Bottom()),
-            (Top(), Top()),
-            (theta, theta),
-        ]
-        if extended:
-            vectors += [(theta, Top()), (Top(), theta)]
-        return vectors
+        return [(Bottom(), Top()), (Top(), Bottom()), (Top(), Top()), (theta, theta)]
     if c.name == "imp":
-        vectors = [
-            (Bottom(), Bottom()),
-            (Top(), Bottom()),
-            (Top(), Top()),
-            (Top(), theta),
-        ]
-        if extended:
-            vectors += [(theta, Top()), (theta, Bottom())]
-        return vectors
+        return [(Bottom(), Bottom()), (Top(), Bottom()), (Top(), Top()), (Top(), theta)]
     if c.name == "contra":
         # Instantiation monotonicity makes the all-top vector decisive: a
         # context is contradictory on every vector iff it is on this one.
@@ -580,20 +550,26 @@ def instance_label(instances: Sequence[Formula]) -> str:
 
 
 @lru_cache(maxsize=64)
-def _cached_battery(c: ConnectiveSpec, nprime: VarSet, extended: bool) -> list[tuple]:
-    """The battery: each vector with the variables of its instances and, per
-    variable set of the teams, the connective's verdicts in enumerate_teams
-    order, as far as a scan has needed them.  So the connective side is
-    computed once per vector and variable set, not once per context."""
-    return [
-        (instances, reduce(VarSet.union, map(var_set, instances)), {})
-        for instances in _battery(c, nprime, extended)
-    ]
+def _cached_battery(c: ConnectiveSpec, nprime: VarSet) -> tuple[tuple, ...]:
+    """The battery over ``nprime``, each vector with the variables of its
+    instances."""
+    return tuple(
+        (instances, reduce(VarSet.union, map(var_set, instances)))
+        for instances in _battery(c, nprime)
+    )
 
 
-def _refute_or_none(
-    phi: Formula, c: ConnectiveSpec, extended: bool = False
-) -> Optional[Counterexample]:
+@lru_cache(maxsize=256)
+def _connective_alternatives(
+    c: ConnectiveSpec, instances: tuple[Formula, ...], vars: VarSet
+) -> tuple[int, ...]:
+    """The alternatives of the connective applied to ``instances`` on the full
+    team over ``vars``, computed once per vector and variable set, not once
+    per context."""
+    return tuple(alternatives(c.context, vars, instances))
+
+
+def _refute_or_none(phi: Formula, c: ConnectiveSpec) -> Optional[Counterexample]:
     """The first battery vector, and the first team in ``enumerate_teams``
     order, on which the instance and the connective disagree.  The battery
     is over the context's variables, or ``p1`` when it has none."""
@@ -603,11 +579,11 @@ def _refute_or_none(
             f"the context uses more placeholders than the connective's arity ({c.arity})"
         )
     own = var_set(phi)
-    tree = syntax_tree(phi)
-    for instances, inst_vars, verdicts in _cached_battery(c, own or _P1_VARS, extended):
+    check_team_cap(len(own))  # before any alternatives are built
+    for instances, inst_vars in _cached_battery(c, own or _P1_VARS):
         vars = own.union(inst_vars)
         found = _first_difference(
-            c, instances, vars, verdicts, _instance_test(tree, phi, instances, vars)
+            vars, alternatives(phi, vars, instances), _connective_alternatives(c, instances, vars)
         )
         if found is not None:
             return Counterexample(phi, c, instances, vars, *found)
@@ -615,23 +591,17 @@ def _refute_or_none(
 
 
 def _first_difference(
-    c: ConnectiveSpec,
-    instances: tuple[Formula, ...],
-    vars: VarSet,
-    verdicts: dict,
-    satisfied: Callable[[int], bool],
+    vars: VarSet, lhs: Sequence[int], rhs: Sequence[int]
 ) -> Optional[tuple[Team, bool, bool]]:
-    """The first team over ``vars``, in ``enumerate_teams`` order, on which
-    the instance, whose verdict on a team mask is ``satisfied``, and the
-    connective disagree on the vector ``instances``, with both verdicts.
-    ``verdicts`` caches the connective's verdicts per variable set."""
-    rhs_known = verdicts.setdefault(vars, [])
-    for k, team in enumerate(enumerate_teams(vars)):
-        if k == len(rhs_known):
-            rhs_known.append(c.evaluate(instances, team))
-        lhs = satisfied(team.mask)
-        if lhs != rhs_known[k]:
-            return team, lhs, rhs_known[k]
+    """The first team over ``vars``, in ``enumerate_teams`` order, that lies
+    in exactly one of the down-sets with the alternatives ``lhs`` and
+    ``rhs``, with whether it lies in each; None when there is none."""
+    if set(lhs) == set(rhs):
+        return None
+    for mask in team_masks(vars):
+        left = any(mask & ~a == 0 for a in lhs)
+        if left != any(mask & ~a == 0 for a in rhs):
+            return Team(vars, mask), left, not left
     return None
 
 
@@ -640,12 +610,9 @@ def _first_difference(
 _REFUTED_BY_BATTERY = ("or", "imp")
 
 
-def refute_uniform_definition(
-    phi: Formula, c: ConnectiveSpec, *, extended: bool = False
-) -> Counterexample:
+def refute_uniform_definition(phi: Formula, c: ConnectiveSpec) -> Counterexample:
     """The first battery instance on which the context fails to match the
-    connective, with the first differing team as witness.  ``extended``
-    appends two asymmetric diagnostic vectors to the battery.
+    connective, with the first differing team as witness.
 
     Only ``or`` and ``imp`` carry a completeness argument for their
     batteries, so only they are accepted here; for them every context
@@ -654,7 +621,7 @@ def refute_uniform_definition(
     """
     if c.name not in _REFUTED_BY_BATTERY:
         raise ValidationError("refutation batteries exist for 'or' and 'imp' only")
-    ce = _refute_or_none(phi, c, extended)
+    ce = _refute_or_none(phi, c)
     if ce is None:
         raise InternalInvariantError(
             f"battery exhausted without a counterexample for {to_text(phi)}; "
@@ -771,12 +738,7 @@ class _Signatures:
         self._reach = set(atoms)
         grown, leaves = atoms, 1
         while True:
-            widest = max(map(len, self._reach))
-            if widest > TEAM_ENUM_CAP:
-                raise CapExceededError(
-                    f"enumerating teams over {widest} variables exceeds the cap of "
-                    f"{TEAM_ENUM_CAP}"
-                )
+            check_team_cap(max(map(len, self._reach)))
             if not grown or leaves == max_leaves:
                 break
             grown = {u.union(a) for u in grown for a in atoms} - self._reach
@@ -803,13 +765,11 @@ class _Signatures:
 
     def vectors(self, frame: VarSet) -> list[tuple]:
         """The battery over ``frame``: each vector with the variables of its
-        teams and the connective's cached verdicts."""
+        teams."""
         if frame not in self._vectors:
             self._vectors[frame] = [
-                (instances, frame.union(inst_vars), verdicts)
-                for instances, inst_vars, verdicts in _cached_battery(
-                    self.c, frame or _P1_VARS, False
-                )
+                (instances, frame.union(inst_vars))
+                for instances, inst_vars in _cached_battery(self.c, frame or _P1_VARS)
             ]
         return self._vectors[frame]
 
@@ -825,8 +785,9 @@ class _Signatures:
             self.signatures.append((used, alts))
             self.witnesses.append(witness())
             label = None
-            for (instances, vars, verdicts), own in zip(self.vectors(used), alts[used]):
-                if _first_difference(self.c, instances, vars, verdicts, _inside(own)):
+            for (instances, vars), own in zip(self.vectors(used), alts[used]):
+                rhs = _connective_alternatives(self.c, instances, vars)
+                if _first_difference(vars, own, rhs):
                     label = instance_label(instances)
                     break
             self.labels.append(label)
@@ -836,7 +797,7 @@ class _Signatures:
         alts = {
             frame: tuple(
                 self._alternatives(substitute(atom, instances), vars)
-                for instances, vars, _ in self.vectors(frame)
+                for instances, vars in self.vectors(frame)
             )
             for frame in self.frames(var_set(atom))
         }
@@ -1095,20 +1056,6 @@ class ConditionReport:
         }
 
 
-def _connective_entails_component(
-    c: ConnectiveSpec, instances: Sequence[Formula], i: int
-) -> bool:
-    """Whether every team satisfying the applied connective satisfies the
-    i-th instance (1-based)."""
-    vars = reduce(VarSet.union, map(var_set, instances), VarSet(()))
-    target = instances[i - 1]
-    return all(
-        evaluate(target, team)
-        for team in enumerate_teams(vars)
-        if c.evaluate(instances, team)
-    )
-
-
 def condition_check(c: ConnectiveSpec) -> ConditionReport:
     """Evaluate the three preconditions of the non-definability argument
     for a built-in connective: (i) the applied connective fails to entail
@@ -1139,8 +1086,9 @@ def condition_check(c: ConnectiveSpec) -> ConditionReport:
 
     found: dict[int, Optional[Sequence[Formula]]] = {}
     for instances, i in i_vectors:
-        if i not in found or found[i] is None:
-            found[i] = instances if not _connective_entails_component(c, instances, i) else None
+        if found.get(i) is None:
+            entailed = entails(substitute(c.context, instances), instances[i - 1])
+            found[i] = None if entailed else instances
     for i in sorted(found):
         instances = found[i]
         witnesses.append(

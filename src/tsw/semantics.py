@@ -22,24 +22,28 @@ itself, passing through ``&`` and ``|``; each ``+`` or ``->`` on that
 path takes the alternatives of its two children (within X) and compares
 them, so no subteam of X is ever enumerated.  ``node_alternatives``
 gives the alternatives within X of every node of an instantiated context,
-from one walk, for the bit tests of ``definability``; ``largest_split`` is
-the one split rule for ``+``.  Antichains can blow up, so a walk that
-would form more than ``ALTERNATIVES_BUDGET`` candidate alternatives
-raises ``CapExceededError`` instead.
+from one walk, for the truth functions of ``definability``;
+``largest_split`` is the one split rule for ``+``.  Antichains can blow
+up, so a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
+alternatives raises ``CapExceededError`` instead.
 
 ``alternatives`` gives the alternatives of a formula on the full team over
 a variable set, and ``join`` the alternatives of ``&`` or ``+`` from those
-of its two sides.  ``truth_set``, ``entails`` and ``equivalent`` read their
-answers off ``alternatives``: the truth set is the down-set of the
-alternatives, one formula entails another when each of its alternatives
-lies inside one of the other's, and two formulas are equivalent when their
-alternatives coincide.  They keep their variable caps.  When the walk would
-exceed the budget, ``alternatives`` takes the maximal teams of the indicator
-engine instead, which builds, per subformula, a bitmask over all teams of
-the variable set at once, using lattice sweeps for the subteam
-quantifiers.  Its cost is bounded by the caps, so every judgment within
-them gets an answer.  The two engines are checked against each other (and
-against a naive all-pairs tensor) in the test suite, and
+of its two sides.  ``alternatives`` and ``node_alternatives`` read a
+context's placeholder ``r<i>`` as the alternatives of its substituent,
+walked once, so no instance is built by substitution on the walk; the
+refutation battery of ``definability`` decides by ``alternatives`` alone.
+``truth_set``, ``entails`` and ``equivalent`` read their answers off
+``alternatives``: the truth set is the down-set of the alternatives, one
+formula entails another when each of its alternatives lies inside one of
+the other's, and two formulas are equivalent when their alternatives
+coincide.  They keep their variable caps.  When the walk would exceed the
+budget, ``alternatives`` takes the maximal teams of the indicator engine
+instead, which builds, per subformula, a bitmask over all teams of the
+variable set at once, using lattice sweeps for the subteam quantifiers.
+Its cost is bounded by the caps, so every judgment within them gets an
+answer.  The two engines are checked against each other (and against a
+naive all-pairs tensor) in the test suite, and
 ``check_basic_properties`` runs both.
 """
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
@@ -67,6 +71,7 @@ from .formulas import (
     Variable,
     scan_variables,
     substituent,
+    substitute,
     to_text,
 )
 from .teams import TEAM_ENUM_CAP, Team, TeamFamily, VarSet, full_team, maximal_masks
@@ -146,30 +151,40 @@ def node_alternatives(
     with placeholder ``r<i>`` read as ``theta[i-1]``: a subteam T satisfies
     the node when ``T & ~a == 0`` for one of them.  The instance is checked
     as ``evaluate`` checks it, and the whole tree shares one budget."""
-    used = scan_variables(tree.nodes[tree.root].formula)[0]
-    placeholders: set[int] = set()
+    insts, used, placeholders = _substituents(
+        scan_variables(tree.nodes[tree.root].formula)[0],
+        # pre-order, as substitute meets the leaves
+        (n.formula.index for n in tree.nodes if type(n.formula) is Placeholder),
+        theta,
+    )
+    _check_closed(used, placeholders, team)
+    walk = _Walk(team, used)
+    walk.bind(insts)
+    alts: list[list[int]] = [[]] * len(tree.nodes)
+    for node in reversed(tree.nodes):  # ids are pre-order: children come later
+        if node.children:
+            y, z = node.children
+            alts[node.id] = walk.combine(type(node.formula), alts[y], alts[z])
+        else:
+            alts[node.id] = walk.atom_alternatives(node.formula)
+    return alts
+
+
+def _substituents(
+    used: set[Variable], indices: Iterable[int], theta: Sequence[Formula]
+) -> tuple[dict[int, Formula], set[Variable], set[int]]:
+    """The substituent ``theta[i-1]`` of each placeholder index ``i`` of
+    ``indices``, looked up in that order; ``used`` with their variables
+    added; and the placeholders they contain."""
     insts: dict[int, Formula] = {}
-    for node in tree.nodes:  # pre-order, as substitute meets the leaves
-        f = node.formula
-        if type(f) is Placeholder and f.index not in insts:
-            inst = insts[f.index] = substituent(theta, f.index)
+    placeholders: set[int] = set()
+    for i in indices:
+        if i not in insts:
+            inst = insts[i] = substituent(theta, i)
             vs, ph = scan_variables(inst)
             used |= vs
             placeholders |= ph
-    _check_closed(used, placeholders, team)
-    walk = _Walk(team, used)
-    bound = {i: walk.alternatives(inst) for i, inst in insts.items()}
-    alts: list[list[int]] = [[]] * len(tree.nodes)
-    for node in reversed(tree.nodes):  # ids are pre-order: children come later
-        f = node.formula
-        if node.children:
-            y, z = node.children
-            alts[node.id] = walk.combine(type(f), alts[y], alts[z])
-        elif type(f) is Placeholder:
-            alts[node.id] = bound[f.index]
-        else:
-            alts[node.id] = walk.atom_alternatives(f)
-    return alts
+    return insts, used, placeholders
 
 
 def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
@@ -204,7 +219,7 @@ class _Walk:
     there down every node is an antichain.
     """
 
-    __slots__ = ("X", "ones", "spent")
+    __slots__ = ("X", "ones", "spent", "bound")
 
     def __init__(self, team: Team, used: set[Variable]):
         names = team.vars.names()
@@ -212,6 +227,12 @@ class _Walk:
         # name of each variable the formula uses -> the patterns setting it to 1
         self.ones = {v.name: _var_ones(len(names), names.index(v.name)) for v in used}
         self.spent = 0
+        self.bound: dict[int, list[int]] = {}
+
+    def bind(self, insts: dict[int, Formula]) -> None:
+        """Read placeholder ``r<i>`` as the formula ``insts[i]``, whose
+        alternatives count against this walk's budget."""
+        self.bound = {i: self.alternatives(f) for i, f in insts.items()}
 
     def charge(self, k: int) -> None:
         self.spent += k
@@ -307,6 +328,8 @@ class _Walk:
             return [0]
         if t is Dep:
             return self.dep_alternatives(node)
+        if t is Placeholder:
+            return self.bound[node.index]
         raise InternalInvariantError(f"unknown node {node!r}")
 
     def dep_classes(self, dep: Dep) -> list[tuple[int, int]]:
@@ -433,20 +456,18 @@ def _bit_positions(x: int) -> list[int]:
     return out
 
 
-def _closed_variables(phi: Formula, vars: VarSet) -> set[Variable]:
-    """The variables of ``phi``, checked to be placeholder-free and inside
-    ``vars``."""
-    used, placeholders = scan_variables(phi)
+def _closed_variables(used: set[Variable], placeholders: set[int], vars: VarSet) -> None:
+    """Check an instance with these variables and placeholders: it must have
+    no placeholder and no variable outside ``vars``."""
     if placeholders:
         raise ValidationError("cannot take the truth set of a context")
     for v in sorted(used):
         if v not in vars:
             raise ValidationError(f"variable {v.name!r} of the formula is outside the given set")
-    return used
 
 
 def _truth_indicator(phi: Formula, vars: VarSet) -> int:
-    _closed_variables(phi, vars)
+    _closed_variables(*scan_variables(phi), vars)
     n = len(vars)
     if n > TEAM_ENUM_CAP:
         raise CapExceededError(
@@ -507,16 +528,25 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
 # a variable set is the down-set of its alternatives on the full team.
 
 
-def alternatives(phi: Formula, vars: VarSet) -> list[int]:
-    """The alternatives of ``phi`` on the full team over ``vars`` (which must
-    hold its variables), an antichain of team masks.  When the walk would
-    exceed ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine,
-    at a cost bounded by the hard variable cap."""
-    walk = _Walk(full_team(vars), _closed_variables(phi, vars))
+def alternatives(phi: Formula, vars: VarSet, theta: Sequence[Formula] = ()) -> list[int]:
+    """The alternatives of ``phi`` on the full team over ``vars``, with
+    placeholder ``r<i>`` read as ``theta[i-1]``: an antichain of team masks.
+    ``vars`` must hold the instance's variables.  When the walk would exceed
+    ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine on the
+    substituted instance, at a cost bounded by the hard variable cap."""
+    used, placeholders = scan_variables(phi)
+    insts: dict[int, Formula] = {}
+    if placeholders:
+        if len(theta) < max(placeholders):
+            raise ValidationError("cannot take the truth set of a context")
+        insts, used, placeholders = _substituents(used, placeholders, theta)
+    _closed_variables(used, placeholders, vars)
+    walk = _Walk(full_team(vars), used)
     try:
+        walk.bind(insts)
         return walk.alternatives(phi)
     except CapExceededError:
-        ind = _truth_indicator(phi, vars)
+        ind = _truth_indicator(substitute(phi, theta) if insts else phi, vars)
         return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
 
 

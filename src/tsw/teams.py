@@ -102,7 +102,7 @@ class Valuation:
             raise ValidationError(f"row length {len(row)} does not match {len(vars)} variables")
         bits = 0
         for i, cell in enumerate(row):
-            if cell not in (0, 1) or not isinstance(cell, int):
+            if type(cell) is not int or cell not in (0, 1):
                 raise ValidationError(f"valuation entries must be 0 or 1, got {cell!r}")
             bits |= cell << i
         return cls(vars, bits)
@@ -240,13 +240,24 @@ def full_team(vars: VarSet) -> Team:
     return Team(vars, (1 << (1 << len(vars))) - 1)
 
 
-def enumerate_teams(vars: VarSet) -> Iterator[Team]:
-    """All ``2^(2^|vars|)`` teams, smallest cardinality first, then by mask."""
-    if len(vars) > TEAM_ENUM_CAP:
+def check_team_cap(n: int) -> None:
+    """Teams over more than ``TEAM_ENUM_CAP`` variables are not enumerated."""
+    if n > TEAM_ENUM_CAP:
         raise CapExceededError(
-            f"enumerating teams over {len(vars)} variables exceeds the cap of {TEAM_ENUM_CAP}"
+            f"enumerating teams over {n} variables exceeds the cap of {TEAM_ENUM_CAP}"
         )
-    for m in _team_order(1 << len(vars)):
+
+
+def team_masks(vars: VarSet) -> tuple[int, ...]:
+    """The masks of all ``2^(2^|vars|)`` teams, smallest cardinality first,
+    then by mask."""
+    check_team_cap(len(vars))
+    return _team_order(1 << len(vars))
+
+
+def enumerate_teams(vars: VarSet) -> Iterator[Team]:
+    """All teams over ``vars``, in the order of ``team_masks``."""
+    for m in team_masks(vars):
         yield Team(vars, m)
 
 

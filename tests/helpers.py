@@ -112,7 +112,7 @@ def reference_split(phi, team):
         s = (s - 1) & mask
 
 
-def reference_refute(phi, c, extended=False):
+def reference_refute(phi, c):
     """The first counterexample of the refutation battery, found by the
     per-team loop: for each battery vector, the whole instance is built by
     substitution and evaluated on every team over its variables and the
@@ -127,7 +127,7 @@ def reference_refute(phi, c, extended=False):
     nprime = var_set(substitute(phi, [Top()] * max_placeholder(phi)))
     if len(nprime) == 0:
         nprime = VarSet((Variable("p1"),))
-    for instances in _battery(c, nprime, extended):
+    for instances in _battery(c, nprime):
         lhs_formula = substitute(phi, instances)
         vars = var_set(lhs_formula)
         for inst in instances:

@@ -102,8 +102,18 @@ def test_vars_flag_keeps_the_given_order(capsys, tmp_path):
         {"vars": ["p"], "teams": [[[0]], 3]},
         "[0]",
         "[[0.0]]",
+        "[[true]]",
     ],
-    ids=["int_var", "null_vars", "string_vars", "int_row", "int_team", "flat_rows", "float_cell"],
+    ids=[
+        "int_var",
+        "null_vars",
+        "string_vars",
+        "int_row",
+        "int_team",
+        "flat_rows",
+        "float_cell",
+        "bool_cell",
+    ],
 )
 def test_malformed_team_input_exits_one(capsys, tmp_path, obj):
     if isinstance(obj, str):  # inline rows
@@ -288,12 +298,39 @@ def test_refute_human(capsys):
     assert "bot" in out and "top" in out
 
 
-def test_refute_extended_flag(capsys):
-    base = run_json(capsys, "refute", "-c", "r1 + r2", "--connective", "or", "--json")
-    ext = run_json(
-        capsys, "refute", "-c", "r1 + r2", "--connective", "or", "--extended", "--json"
-    )
-    assert base == ext
+def test_refute_has_no_extended_flag(capsys):
+    code, out, err = run(capsys, "refute", "-c", "r1 + r2", "--connective", "or", "--extended")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --extended\n"
+
+
+@pytest.mark.parametrize(
+    "context",
+    # the second one's alternatives exceed the budget, and the lattice the cap
+    ["r1 + (a & b & c & d & e)", "r1 + (=(a,b,c,d;e) + =(a,b,c,d;e))"],
+)
+def test_refute_checks_the_team_cap_first(capsys, context):
+    code, out, err = run(capsys, "refute", "-c", context, "--connective", "or")
+    assert code == 2
+    assert out == ""
+    assert err == "error: enumerating teams over 5 variables exceeds the cap of 4\n"
+
+
+def test_refute_and_consistent_on_a_long_context(capsys):
+    context = "r1" + " & p" * 3000
+    for connective, instances in (("or", ["bot", "top"]), ("imp", ["bot", "bot"])):
+        obj = run_json(capsys, "refute", "-c", context, "--connective", connective, "--json")
+        assert obj == {
+            "context": context,
+            "connective": connective,
+            "instances": instances,
+            "vars": ["p"],
+            "team": [[0]],
+            "lhs": False,
+            "rhs": True,
+        }
+    assert run_json(capsys, "consistent", "-c", context, "--json") == {"result": True}
 
 
 def test_search_json_deterministic(capsys):

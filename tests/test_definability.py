@@ -298,9 +298,8 @@ def test_refutation_matches_the_per_team_reference():
     disj, imp = builtin_connective("or"), builtin_connective("imp")
     contexts = enumerate_contexts(POOL, 7)
     for c in (disj, imp):
-        for extended in (False, True):
-            for phi in contexts:
-                assert _refute_or_none(phi, c, extended) == reference_refute(phi, c, extended)
+        for phi in contexts:
+            assert _refute_or_none(phi, c) == reference_refute(phi, c)
     for phi in enumerate_contexts(POOL, 5):
         assert _refute_or_none(phi, contra()) == reference_refute(phi, contra())
     # Contexts with no variable share the battery variable p1 with those over
@@ -308,19 +307,41 @@ def test_refutation_matches_the_per_team_reference():
     mixed = tuple(parse(s) for s in ("r1", "r2", "p1", "q", "=(q;p1)", "bot", "top"))
     for phi in enumerate_contexts(mixed, 5):
         for c in (disj, imp, contra()):
-            assert _refute_or_none(phi, c, True) == reference_refute(phi, c, True)
+            assert _refute_or_none(phi, c) == reference_refute(phi, c)
 
 
 def test_refutation_keeps_the_connective_side_apart_per_variable_set():
     from tsw.definability import ConnectiveSpec, _refute_or_none
 
-    # "r1" has no variable, so its battery is over p1 as for "p1 & r1",
-    # while its constant vectors range over the teams on no variable.  A
-    # clause that sees the team's variables tells the two apart.
-    odd = ConnectiveSpec("or", 2, lambda instances, team: len(team.vars) == 0 or team.is_empty)
-    for text in ("r1", "p1 & r1", "r1", "r1 + p1"):
+    # "top" has no variable, so its battery is over p1 as for "p1 + !p1",
+    # while its constant vectors range over the teams on no variable.  There
+    # the connective's side of (bot, top) is the one team [[]]; over p1 it is
+    # the full team, which "p1 + !p1" matches until (theta, theta).  The spec
+    # is a context of its own, so no earlier call has cached its side.
+    spec = ConnectiveSpec("or", 2, parse("r2 | r1"))
+    for text in ("top", "p1 + !p1", "r1", "p1 & r1", "top", "r1 + p1"):
         phi = parse(text)
-        assert _refute_or_none(phi, odd) == reference_refute(phi, odd)
+        assert _refute_or_none(phi, spec) == reference_refute(phi, spec)
+
+
+def test_refutation_over_four_variables_differs_only_on_the_full_team():
+    from tsw.expressiveness import theta_star
+    from tsw.formulas import IDisj, substitute
+    from tsw.semantics import _truth_indicator
+
+    phi = parse("r1 + r2 + =(a,b,c;d)")
+    vars = VarSet.of("a", "b", "c", "d")
+    theta = theta_star(full_team(vars))
+    ce = _refute_or_none(phi, builtin_connective("or"))
+    assert (ce.instances, ce.vars) == ((theta, theta), vars)
+    assert (ce.team, ce.lhs, ce.rhs) == (full_team(vars), True, False)
+    # Per-team evaluate of theta over four variables exceeds the budget on
+    # the full team, so the verdicts are checked on the indicator engine:
+    # the full team, last in enumerate_teams order, is the only difference.
+    lhs = _truth_indicator(substitute(phi, ce.instances), vars)
+    rhs = _truth_indicator(IDisj(theta, theta), vars)
+    assert lhs ^ rhs == 1 << ce.team.mask
+    assert lhs >> ce.team.mask & 1
 
 
 def test_scans_past_the_budget_fall_back_to_single_teams():
@@ -328,7 +349,7 @@ def test_scans_past_the_budget_fall_back_to_single_teams():
 
     # The alternatives of either tensor on the full team over p, q, r, s
     # take 65,536 candidates, so the two together are past the budget; the
-    # scans stop at a singleton team.
+    # verdicts come from the lattice fallback of `alternatives`.
     dep = "=(p,q,r;s)"
     phi = parse(f"({dep} + {dep}) & ({dep} + {dep}) & r1")
     with pytest.raises(CapExceededError):
@@ -542,12 +563,6 @@ def test_counterexample_earlier_battery_entries_win():
     assert cx.instances == (parse("bot"), parse("bot"))
     assert cx.lhs is False and cx.rhs is True
     assert verify_counterexample(cx)
-
-
-def test_refute_extended_battery_keeps_early_hits():
-    base = refute_uniform_definition(parse("r1 + r2"), builtin_connective("or"))
-    ext = refute_uniform_definition(parse("r1 + r2"), builtin_connective("or"), extended=True)
-    assert base.to_json() == ext.to_json()
 
 
 def test_refute_rejects_contra_and_oversized_placeholders():
@@ -820,11 +835,8 @@ def test_condition_check_contra_pins():
 def test_condition_check_unknown_connective():
     from tsw.definability import ConnectiveSpec
 
-    def never(instances, team):
-        return False
-
     with pytest.raises(ValidationError):
-        condition_check(ConnectiveSpec("mystery", 2, never))
+        condition_check(ConnectiveSpec("mystery", 2, parse("r1 & r2")))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,17 @@ from hypothesis import given, settings
 
 from tsw.errors import CapExceededError, ValidationError
 from tsw.expressiveness import theta_star
-from tsw.formulas import And, Fragment, IDisj, Impl, Tensor, Top, Variable, syntax_tree
+from tsw.formulas import (
+    And,
+    Fragment,
+    IDisj,
+    Impl,
+    Tensor,
+    Top,
+    Variable,
+    substitute,
+    syntax_tree,
+)
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
@@ -351,6 +362,30 @@ def test_alternatives_past_the_budget_are_the_indicators_maximal_teams():
     with pytest.raises(CapExceededError):
         walk_alternatives(pin, VarSet.of("p", "q", "r", "s"))
     assert alternatives(pin, VarSet.of("p", "q", "r", "s")) == [full]
+
+
+def test_alternatives_read_placeholders_as_their_substituents():
+    pool = [parse(t) for t in ("bot", "top", "p", "!q", "=(p)", "p + !p", "=(p;q) & q")]
+    contexts = [
+        parse(t) for t in ("top", "r1", "r2 + r1", "(r1 & q) + (r2 & !p)", "r2 & (r1 + r1)")
+    ]
+    for phi in contexts:
+        for theta in itertools.product(pool, repeat=2):
+            got = alternatives(phi, PQ, theta)
+            assert sorted(got) == sorted(alternatives(substitute(phi, theta), PQ))
+    # past the budget, the indicator engine on the substituted instance
+    pin = parse("(r1 + r1) -> r1 + r1")
+    assert alternatives(pin, VarSet.of("p", "q", "r", "s"), [parse("=(p,q,r;s)")]) == [
+        (1 << 16) - 1
+    ]
+    # an instance that is still a context, or over other variables
+    context = "cannot take the truth set of a context"
+    outside = "variable 'q' of the formula is outside the given set"
+    cases = (("r2 & p", "p", context), ("r1", "r1", context), ("r1", "q", outside))
+    for phi, theta, message in cases:
+        with pytest.raises(ValidationError) as got:
+            alternatives(parse(phi), P, [parse(theta)])
+        assert str(got.value) == message
 
 
 def test_judgments_fall_back_to_the_indicator_past_the_budget():
