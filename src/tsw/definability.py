@@ -22,11 +22,14 @@ every node (``semantics.node_alternatives``), and every ``+`` split is
 A connective is the PT0 context it abbreviates (``ConnectiveSpec.context``:
 ``r1 | r2``, ``r1 -> r2``, or ``bot`` for ``contra``).  Both sides of a
 battery comparison are down-sets of teams, fixed by their alternatives on
-the full team (``semantics.alternatives``, which reads the placeholders as
-the vector's instances).  So refutation, consistency and the connective
-preconditions decide as ``semantics.entails`` does, and a counterexample
+the full team (``semantics.alternatives``).  Each placeholder reads as its
+instance's alternatives there, known without walking the instance: the
+empty team for ``bot``, the full team for ``top``, and for θ* the full
+team less one member of its team each (``theta_star_alternatives``).  So
+refutation decides as ``semantics.entails`` does, and a counterexample
 is the first team, in ``enumerate_teams`` order, in exactly one of the two
-down-sets.
+down-sets.  Consistency needs no alternatives: it is decided on
+singletons, by one bitmask pass over valuation patterns.
 
 The bounded search and the closure check never build the contexts they
 count.  On the battery, a context's verdict depends only on its
@@ -52,7 +55,7 @@ from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .expressiveness import theta_star
+from .expressiveness import theta_star, theta_star_alternatives
 from .formulas import (
     And,
     Bottom,
@@ -78,6 +81,7 @@ from .formulas import (
     variables,
 )
 from .semantics import (
+    _var_ones,
     alternatives,
     entails,
     equivalent,
@@ -142,12 +146,33 @@ def _require_pd(phi: Formula) -> None:
 
 
 def is_consistent(phi: Formula) -> bool:
-    """Whether some nonempty team satisfies the all-``top`` instance: whether
-    one of its alternatives on the full team over its variables is nonempty.
-    Satisfaction is closed under subteams, so the nonempty teams satisfying
-    it are the nonempty ones inside an alternative."""
+    """Whether some nonempty team satisfies the all-``top`` instance; by
+    downward closure, whether some singleton {v} does.  {v} satisfies
+    ``a & b`` when it satisfies both sides, ``a + b`` when it satisfies one,
+    a literal that v sets, and ``top``, dependence atoms and placeholders.
+    One pass finds, per node, the valuations v that do, as a bitmask."""
     _require_pd(phi)
-    return any(alternatives(phi, var_set(phi), [Top()] * max_placeholder(phi)))
+    vars = var_set(phi)
+    ones = {v: _var_ones(len(vars), i) for i, v in enumerate(vars)}
+    full = (1 << (1 << len(vars))) - 1
+    done: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, ready = stack.pop()
+        t = type(node)
+        if t is And or t is Tensor:
+            if not ready:
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            right, left = done.pop(), done.pop()
+            done.append(left & right if t is And else left | right)
+        elif t is PosVar:
+            done.append(ones[node.var])
+        elif t is NegVar:
+            done.append(full ^ ones[node.var])
+        else:
+            done.append(0 if t is Bottom else full)
+    return done[0] != 0
 
 
 # Instance pool for spot-checking that a rewritten context behaves like the
@@ -550,23 +575,23 @@ def instance_label(instances: Sequence[Formula]) -> str:
 
 
 @lru_cache(maxsize=64)
-def _cached_battery(c: ConnectiveSpec, nprime: VarSet) -> tuple[tuple, ...]:
-    """The battery over ``nprime``, each vector with the variables of its
-    instances."""
-    return tuple(
-        (instances, reduce(VarSet.union, map(var_set, instances)))
-        for instances in _battery(c, nprime)
-    )
-
-
-@lru_cache(maxsize=256)
-def _connective_alternatives(
-    c: ConnectiveSpec, instances: tuple[Formula, ...], vars: VarSet
-) -> tuple[int, ...]:
-    """The alternatives of the connective applied to ``instances`` on the full
-    team over ``vars``, computed once per vector and variable set, not once
-    per context."""
-    return tuple(alternatives(c.context, vars, instances))
+def _cached_battery(c: ConnectiveSpec, own: VarSet) -> tuple[tuple, ...]:
+    """The battery of a context over ``own`` (over ``p1`` when it is empty),
+    each vector with the variables of its teams; per instance, its
+    alternatives on the full team over them: the empty team for ``bot``, the
+    full team for ``top``, and its lemma's for θ*, so no instance is walked;
+    and the connective's alternatives on the vector, once per battery."""
+    nprime = own or _P1_VARS
+    theta = tuple(theta_star_alternatives(full_team(nprime)))
+    vectors = []
+    for instances in _battery(c, nprime):
+        vars = reduce(VarSet.union, map(var_set, instances), own)
+        full = (full_team(vars).mask,)
+        bound = tuple(
+            (0,) if type(f) is Bottom else full if type(f) is Top else theta for f in instances
+        )
+        vectors.append((instances, vars, bound, alternatives(c.context, vars, bound)))
+    return tuple(vectors)
 
 
 def _refute_or_none(phi: Formula, c: ConnectiveSpec) -> Optional[Counterexample]:
@@ -580,11 +605,8 @@ def _refute_or_none(phi: Formula, c: ConnectiveSpec) -> Optional[Counterexample]
         )
     own = var_set(phi)
     check_team_cap(len(own))  # before any alternatives are built
-    for instances, inst_vars in _cached_battery(c, own or _P1_VARS):
-        vars = own.union(inst_vars)
-        found = _first_difference(
-            vars, alternatives(phi, vars, instances), _connective_alternatives(c, instances, vars)
-        )
+    for instances, vars, bound, rhs in _cached_battery(c, own):
+        found = _first_difference(vars, alternatives(phi, vars, bound), rhs)
         if found is not None:
             return Counterexample(phi, c, instances, vars, *found)
     return None
@@ -750,8 +772,6 @@ class _Signatures:
         self._ids: dict[tuple, int] = {}
         self._joins: dict[tuple, int] = {}
         self._frames: dict[VarSet, list[VarSet]] = {}
-        self._vectors: dict[VarSet, list[tuple]] = {}
-        self._instances: dict[tuple[Formula, VarSet], tuple[int, ...]] = {}
         self.leaves = [self._leaf(atom) for atom in pool]
 
     def frames(self, used: VarSet) -> list[VarSet]:
@@ -762,16 +782,6 @@ class _Signatures:
                 key=lambda s: (s != used, len(s), s.names()),
             )
         return self._frames[used]
-
-    def vectors(self, frame: VarSet) -> list[tuple]:
-        """The battery over ``frame``: each vector with the variables of its
-        teams."""
-        if frame not in self._vectors:
-            self._vectors[frame] = [
-                (instances, frame.union(inst_vars))
-                for instances, inst_vars in _cached_battery(self.c, frame or _P1_VARS)
-            ]
-        return self._vectors[frame]
 
     def _intern(self, used: VarSet, alts: dict[VarSet, tuple], witness: Callable) -> int:
         key = (used, tuple(alts.values()))
@@ -785,8 +795,7 @@ class _Signatures:
             self.signatures.append((used, alts))
             self.witnesses.append(witness())
             label = None
-            for (instances, vars), own in zip(self.vectors(used), alts[used]):
-                rhs = _connective_alternatives(self.c, instances, vars)
+            for (instances, vars, _, rhs), own in zip(_cached_battery(self.c, used), alts[used]):
                 if _first_difference(vars, own, rhs):
                     label = instance_label(instances)
                     break
@@ -796,20 +805,12 @@ class _Signatures:
     def _leaf(self, atom: Formula) -> int:
         alts = {
             frame: tuple(
-                self._alternatives(substitute(atom, instances), vars)
-                for instances, vars in self.vectors(frame)
+                tuple(sorted(alternatives(atom, vars, bound)))
+                for _, vars, bound, _ in _cached_battery(self.c, frame)
             )
             for frame in self.frames(var_set(atom))
         }
         return self._intern(var_set(atom), alts, lambda: atom)
-
-    def _alternatives(self, inst: Formula, vars: VarSet) -> tuple[int, ...]:
-        """The alternatives of an instantiated atom on the full team over
-        ``vars``, sorted."""
-        key = (inst, vars)
-        if key not in self._instances:
-            self._instances[key] = tuple(sorted(alternatives(inst, vars)))
-        return self._instances[key]
 
     def join(self, op: type, a: int, b: int) -> int:
         """The signature of ``op`` (``And`` or ``Tensor``) over contexts

@@ -2,7 +2,10 @@
 
 The engine room is ``theta_star``: for a nonempty team X over variables
 N it builds a PD formula satisfied by exactly the teams that do NOT
-contain X.  Conjoining these over all excluded teams synthesizes a PD
+contain X.  That law alone fixes its alternatives on the full team over N
+(``theta_star_alternatives``): the full team less one member of X each,
+which is how the refutation battery of ``definability`` reads it.
+Conjoining these formulas over all excluded teams synthesizes a PD
 formula for any downward-closed family (``synth_pd``); disjoining flat
 classical descriptions of the maximal teams does the same within InqL
 (``synth_inql``).  ``translate`` composes a truth-set computation with
@@ -31,7 +34,7 @@ from .formulas import (
     Variable,
 )
 from .semantics import _check_cap, truth_set
-from .teams import Team, TeamFamily, VarSet, is_downward_closed
+from .teams import Team, TeamFamily, VarSet, full_team, is_downward_closed
 
 
 @lru_cache(maxsize=256)
@@ -75,6 +78,17 @@ def theta_star(X: Team, *, raw: bool = False) -> Formula:
         return Tensor(left, right)
     parts = copies + lits
     return reduce(Tensor, parts) if parts else Bottom()
+
+
+def theta_star_alternatives(X: Team) -> list[int]:
+    """The alternatives of ``theta_star(X)`` on the full team over X's
+    variables, read off its law without building the formula: a team
+    satisfies it iff it misses a member of X, so the maximal ones are the
+    full team less one member of X each."""
+    if X.is_empty:
+        raise ValidationError("theta_star needs a nonempty team")
+    full = full_team(X.vars).mask
+    return [full ^ (1 << p) for p in range(1 << len(X.vars)) if X.mask >> p & 1]
 
 
 def _validate_family(K: TeamFamily) -> None:

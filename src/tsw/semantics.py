@@ -29,10 +29,12 @@ alternatives raises ``CapExceededError`` instead.
 
 ``alternatives`` gives the alternatives of a formula on the full team over
 a variable set, and ``join`` the alternatives of ``&`` or ``+`` from those
-of its two sides.  ``alternatives`` and ``node_alternatives`` read a
-context's placeholder ``r<i>`` as the alternatives of its substituent,
-walked once, so no instance is built by substitution on the walk; the
-refutation battery of ``definability`` decides by ``alternatives`` alone.
+of its two sides.  ``alternatives`` reads a context's placeholder ``r<i>``
+as a formula whose alternatives there are a given antichain, on the walk
+and in its fallback alike, so the refutation battery of ``definability``
+binds its instances' alternatives without walking them; ``node_alternatives``
+walks each substituent once within its team and binds the result.  No
+instance is built by substitution.
 ``truth_set``, ``entails`` and ``equivalent`` read their answers off
 ``alternatives``: the truth set is the down-set of the alternatives, one
 formula entails another when each of its alternatives lies inside one of
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
@@ -71,7 +73,6 @@ from .formulas import (
     Variable,
     scan_variables,
     substituent,
-    substitute,
     to_text,
 )
 from .teams import TEAM_ENUM_CAP, Team, TeamFamily, VarSet, full_team, maximal_masks
@@ -151,15 +152,19 @@ def node_alternatives(
     with placeholder ``r<i>`` read as ``theta[i-1]``: a subteam T satisfies
     the node when ``T & ~a == 0`` for one of them.  The instance is checked
     as ``evaluate`` checks it, and the whole tree shares one budget."""
-    insts, used, placeholders = _substituents(
-        scan_variables(tree.nodes[tree.root].formula)[0],
-        # pre-order, as substitute meets the leaves
-        (n.formula.index for n in tree.nodes if type(n.formula) is Placeholder),
-        theta,
-    )
+    used = scan_variables(tree.nodes[tree.root].formula)[0]
+    insts: dict[int, Formula] = {}
+    placeholders: set[int] = set()
+    for node in tree.nodes:  # pre-order, as substitute meets the leaves
+        f = node.formula
+        if type(f) is Placeholder and f.index not in insts:
+            inst = insts[f.index] = substituent(theta, f.index)
+            vs, ph = scan_variables(inst)
+            used |= vs
+            placeholders |= ph
     _check_closed(used, placeholders, team)
     walk = _Walk(team, used)
-    walk.bind(insts)
+    walk.bound = {i: walk.alternatives(f) for i, f in insts.items()}
     alts: list[list[int]] = [[]] * len(tree.nodes)
     for node in reversed(tree.nodes):  # ids are pre-order: children come later
         if node.children:
@@ -168,23 +173,6 @@ def node_alternatives(
         else:
             alts[node.id] = walk.atom_alternatives(node.formula)
     return alts
-
-
-def _substituents(
-    used: set[Variable], indices: Iterable[int], theta: Sequence[Formula]
-) -> tuple[dict[int, Formula], set[Variable], set[int]]:
-    """The substituent ``theta[i-1]`` of each placeholder index ``i`` of
-    ``indices``, looked up in that order; ``used`` with their variables
-    added; and the placeholders they contain."""
-    insts: dict[int, Formula] = {}
-    placeholders: set[int] = set()
-    for i in indices:
-        if i not in insts:
-            inst = insts[i] = substituent(theta, i)
-            vs, ph = scan_variables(inst)
-            used |= vs
-            placeholders |= ph
-    return insts, used, placeholders
 
 
 def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
@@ -216,7 +204,8 @@ class _Walk:
     *alternatives*: the maximal satisfying subteams, an antichain of masks.
     ``verdict`` decides X itself, passing through ``&`` and ``|``; a ``+``
     or ``->`` asks ``alternatives`` for both of its children, and from
-    there down every node is an antichain.
+    there down every node is an antichain.  ``bound`` maps the index ``i``
+    of placeholder ``r<i>`` to the antichain it reads as.
     """
 
     __slots__ = ("X", "ones", "spent", "bound")
@@ -228,11 +217,6 @@ class _Walk:
         self.ones = {v.name: _var_ones(len(names), names.index(v.name)) for v in used}
         self.spent = 0
         self.bound: dict[int, list[int]] = {}
-
-    def bind(self, insts: dict[int, Formula]) -> None:
-        """Read placeholder ``r<i>`` as the formula ``insts[i]``, whose
-        alternatives count against this walk's budget."""
-        self.bound = {i: self.alternatives(f) for i, f in insts.items()}
 
     def charge(self, k: int) -> None:
         self.spent += k
@@ -456,18 +440,22 @@ def _bit_positions(x: int) -> list[int]:
     return out
 
 
-def _closed_variables(used: set[Variable], placeholders: set[int], vars: VarSet) -> None:
-    """Check an instance with these variables and placeholders: it must have
-    no placeholder and no variable outside ``vars``."""
-    if placeholders:
+def _closed_variables(
+    used: set[Variable], placeholders: set[int], vars: VarSet, bound: Sequence = ()
+) -> None:
+    """Check a formula with these variables and placeholders: ``bound`` must
+    cover its placeholders, and ``vars`` its variables."""
+    if placeholders and max(placeholders) > len(bound):
         raise ValidationError("cannot take the truth set of a context")
     for v in sorted(used):
         if v not in vars:
             raise ValidationError(f"variable {v.name!r} of the formula is outside the given set")
 
 
-def _truth_indicator(phi: Formula, vars: VarSet) -> int:
-    _closed_variables(*scan_variables(phi), vars)
+def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()) -> int:
+    """The truth set of ``phi`` over ``vars`` as an indicator, placeholder
+    ``r<i>`` read as the down-set of the antichain ``bound[i-1]``."""
+    _closed_variables(*scan_variables(phi), vars, bound)
     n = len(vars)
     if n > TEAM_ENUM_CAP:
         raise CapExceededError(
@@ -517,6 +505,8 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
         if isinstance(node, Impl):
             bad = run(node.left) & all_teams & ~run(node.right)
             return all_teams & ~_subset_or(bad, npat)
+        if isinstance(node, Placeholder):
+            return _down_set(bound[node.index - 1], npat)
         raise InternalInvariantError(f"unknown node {node!r}")
 
     return run(phi)
@@ -528,25 +518,23 @@ def _truth_indicator(phi: Formula, vars: VarSet) -> int:
 # a variable set is the down-set of its alternatives on the full team.
 
 
-def alternatives(phi: Formula, vars: VarSet, theta: Sequence[Formula] = ()) -> list[int]:
-    """The alternatives of ``phi`` on the full team over ``vars``, with
-    placeholder ``r<i>`` read as ``theta[i-1]``: an antichain of team masks.
-    ``vars`` must hold the instance's variables.  When the walk would exceed
-    ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine on the
-    substituted instance, at a cost bounded by the hard variable cap."""
+def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()) -> list[int]:
+    """The alternatives of ``phi`` on the full team over ``vars``, an
+    antichain of team masks, with placeholder ``r<i>`` read as a formula
+    whose alternatives there are the antichain ``bound[i-1]``.  ``vars``
+    must hold the formula's variables.  When the walk would exceed
+    ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine, which
+    reads the placeholders the same way, at a cost bounded by the hard
+    variable cap."""
     used, placeholders = scan_variables(phi)
-    insts: dict[int, Formula] = {}
-    if placeholders:
-        if len(theta) < max(placeholders):
-            raise ValidationError("cannot take the truth set of a context")
-        insts, used, placeholders = _substituents(used, placeholders, theta)
-    _closed_variables(used, placeholders, vars)
+    _closed_variables(used, placeholders, vars, bound)
     walk = _Walk(full_team(vars), used)
+    if placeholders:
+        walk.bound = {i: list(bound[i - 1]) for i in placeholders}
     try:
-        walk.bind(insts)
         return walk.alternatives(phi)
     except CapExceededError:
-        ind = _truth_indicator(substitute(phi, theta) if insts else phi, vars)
+        ind = _truth_indicator(phi, vars, bound)
         return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
 
 

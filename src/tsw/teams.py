@@ -144,15 +144,6 @@ class Team:
         return cls(vars, 0)
 
     @classmethod
-    def from_valuations(cls, vars: VarSet, valuations: Iterable[Valuation]) -> "Team":
-        mask = 0
-        for v in valuations:
-            if v.vars != vars:
-                raise ValidationError("valuation variable set does not match the team's")
-            mask |= 1 << v.bits
-        return cls(vars, mask)
-
-    @classmethod
     def from_rows(cls, vars: VarSet, rows: Sequence[Sequence[int]]) -> "Team":
         mask = 0
         for row in _as_list(rows, "a team"):

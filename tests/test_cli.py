@@ -239,6 +239,9 @@ def test_consistent(capsys):
     assert (code, out) == (0, "false\n")
     code, out, _ = run(capsys, "consistent", "-c", "r1 + !p")
     assert (code, out) == (0, "true\n")
+    # five variables: decided on singletons, with no cap
+    code, out, _ = run(capsys, "consistent", "-c", "(=(p,q,r,s;t) + =(p,q,r,s;t)) & r1")
+    assert (code, out) == (0, "true\n")
 
 
 def test_truthfn_human(capsys):

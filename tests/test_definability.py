@@ -88,6 +88,26 @@ def test_is_consistent_pins():
     assert not is_consistent(parse("p & !p"))
 
 
+def test_is_consistent_matches_the_all_top_alternatives():
+    # decided on singletons, without alternatives: a context is consistent
+    # iff one of the alternatives of its all-top instance is nonempty
+    from tsw.formulas import max_placeholder
+    from tsw.semantics import alternatives, var_set
+
+    counts = []
+    for pool in (POOL, TWO_VAR_POOL + (parse("!q"),)):
+        contexts = enumerate_contexts(pool, 7)
+        for phi in contexts:
+            vars = var_set(phi)
+            top = [[full_team(vars).mask]] * max_placeholder(phi)
+            assert is_consistent(phi) == any(alternatives(phi, vars, top)), to_text(phi)
+        counts.append(len(contexts))
+    assert counts == [15_015, 24_920]
+    # over five variables, where the lattice has no answer
+    assert is_consistent(parse("(=(p,q,r,s;t) + =(p,q,r,s;t)) & r1"))
+    assert not is_consistent(parse("(=(p,q,r,s;t) + =(p,q,r,s;t)) & ((t & !t) + bot)"))
+
+
 def test_is_consistent_requires_pd():
     with pytest.raises(ValidationError):
         is_consistent(parse("p | q"))
@@ -712,6 +732,22 @@ def test_search_pins_past_the_enumeration():
     rep = search_contexts(builtin_connective("imp"), POOL, 9).to_json()
     assert rep["total"] == rep["refuted"] == 301_175
     assert list(rep["by_instance"].items()) == [("bot,bot", 226_823), ("top,bot", 74_352)]
+
+
+def test_search_pins_over_four_variable_frames():
+    # the battery's theta over four variables is bound from its lemma; its
+    # formula is past the walk's budget there
+    pool = tuple(parse(s) for s in ("r1", "r2", "a", "b", "c", "d", "e"))
+    rep = search_contexts(builtin_connective("or"), pool, 7).to_json()
+    assert rep["total"] == rep["refuted"] == 15_015
+    assert list(rep["by_instance"].items()) == [
+        ("bot,top", 12_870),
+        ("top,bot", 1_688),
+        ("theta,theta", 457),
+    ]
+    rep = search_contexts(builtin_connective("imp"), pool, 7).to_json()
+    assert rep["total"] == rep["refuted"] == 15_015
+    assert list(rep["by_instance"].items()) == [("bot,bot", 15_015)]
 
 
 def test_search_at_the_largest_size():

@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 
 from tsw.errors import ValidationError
-from tsw.expressiveness import dep_to_inql, synth_inql, synth_pd, theta_star, translate
-from tsw.formulas import Fragment, Variable, fragment_check, to_text, variables
+from tsw.expressiveness import (
+    dep_to_inql,
+    synth_inql,
+    synth_pd,
+    theta_star,
+    theta_star_alternatives,
+    translate,
+)
+from tsw.formulas import Fragment, Variable, fragment_check, syntax_tree, to_text, variables
 from tsw.parsing import parse
-from tsw.semantics import equivalent, evaluate, truth_set
+from tsw.semantics import equivalent, evaluate, node_alternatives, truth_set
 from tsw.teams import (
     Team,
     TeamFamily,
@@ -31,6 +38,23 @@ def test_theta_pins():
 def test_theta_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         theta_star(Team.empty(P))
+    with pytest.raises(ValidationError):
+        theta_star_alternatives(Team.empty(P))
+
+
+def test_theta_alternatives_match_the_walk():
+    # the lemma against the walk of the formula itself, which raises rather
+    # than fall back when it exceeds its budget
+    checked = 0
+    for vs in (NO_VARS, P, PQ, PQR):
+        for x in enumerate_teams(vs):
+            if x.is_empty:
+                continue
+            tree = syntax_tree(theta_star(x))
+            walked = node_alternatives(tree, (), full_team(vs))[tree.root]
+            assert sorted(theta_star_alternatives(x)) == sorted(walked), x.rows()
+            checked += 1
+    assert checked == 1 + 3 + 15 + 255
 
 
 def test_theta_law_one_variable():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from tsw.errors import CapExceededError, ValidationError
-from tsw.expressiveness import theta_star
+from tsw.expressiveness import theta_star, theta_star_alternatives
 from tsw.formulas import (
     And,
     Fragment,
@@ -357,7 +357,10 @@ def test_alternatives_past_the_budget_are_the_indicators_maximal_teams():
     theta = theta_star(full_team(vs))
     with pytest.raises(CapExceededError):
         walk_alternatives(theta, vs)
-    assert sorted(alternatives(theta, vs)) == sorted(full ^ (1 << j) for j in range(16))
+    lemma = sorted(full ^ (1 << j) for j in range(16))
+    assert sorted(theta_star_alternatives(full_team(vs))) == lemma
+    assert sorted(alternatives(theta, vs)) == lemma
+    assert _down_set(lemma, 16) == _truth_indicator(theta, vs)
     pin = parse("(=(p,q,r;s) + =(p,q,r;s)) -> =(p,q,r;s) + =(p,q,r;s)")
     with pytest.raises(CapExceededError):
         walk_alternatives(pin, VarSet.of("p", "q", "r", "s"))
@@ -365,26 +368,29 @@ def test_alternatives_past_the_budget_are_the_indicators_maximal_teams():
 
 
 def test_alternatives_read_placeholders_as_their_substituents():
+    # each placeholder is bound to its substituent's alternatives, and the
+    # answer is that of the substituted instance
     pool = [parse(t) for t in ("bot", "top", "p", "!q", "=(p)", "p + !p", "=(p;q) & q")]
     contexts = [
         parse(t) for t in ("top", "r1", "r2 + r1", "(r1 & q) + (r2 & !p)", "r2 & (r1 + r1)")
     ]
     for phi in contexts:
         for theta in itertools.product(pool, repeat=2):
-            got = alternatives(phi, PQ, theta)
+            got = alternatives(phi, PQ, [alternatives(t, PQ) for t in theta])
             assert sorted(got) == sorted(alternatives(substitute(phi, theta), PQ))
-    # past the budget, the indicator engine on the substituted instance
+    # past the budget, the indicator engine reads the placeholders the same way
+    pqrs = VarSet.of("p", "q", "r", "s")
     pin = parse("(r1 + r1) -> r1 + r1")
-    assert alternatives(pin, VarSet.of("p", "q", "r", "s"), [parse("=(p,q,r;s)")]) == [
-        (1 << 16) - 1
-    ]
-    # an instance that is still a context, or over other variables
+    with pytest.raises(CapExceededError):
+        walk_alternatives(substitute(pin, [parse("=(p,q,r;s)")]), pqrs)
+    assert alternatives(pin, pqrs, [alternatives(parse("=(p,q,r;s)"), pqrs)]) == [(1 << 16) - 1]
+    # a placeholder left unbound, or a variable outside the set
     context = "cannot take the truth set of a context"
     outside = "variable 'q' of the formula is outside the given set"
-    cases = (("r2 & p", "p", context), ("r1", "r1", context), ("r1", "q", outside))
-    for phi, theta, message in cases:
+    cases = (("r2 & p", [[1]], context), ("r1", [], context), ("r1 + q", [[1]], outside))
+    for phi, bound, message in cases:
         with pytest.raises(ValidationError) as got:
-            alternatives(parse(phi), P, [parse(theta)])
+            alternatives(parse(phi), P, bound)
         assert str(got.value) == message
 
 
