@@ -153,8 +153,8 @@ def is_consistent(phi: Formula) -> bool:
     One pass finds, per node, the valuations v that do, as a bitmask."""
     _require_pd(phi)
     vars = var_set(phi)
+    full = full_team(vars).mask  # raises past MAX_TEAM_VARS, before any mask
     ones = {v: _var_ones(len(vars), i) for i, v in enumerate(vars)}
-    full = (1 << (1 << len(vars))) - 1
     done: list[int] = []
     stack: list[tuple[Formula, bool]] = [(phi, False)]
     while stack:
@@ -550,17 +550,23 @@ class Counterexample:
 _P1_VARS = VarSet((Variable("p1"),))
 
 
-def _battery(c: ConnectiveSpec, nprime: VarSet) -> list[tuple[Formula, ...]]:
-    theta = theta_star(full_team(nprime))
+def _battery_names(c: ConnectiveSpec) -> list[tuple[str, ...]]:
+    """Each battery vector by its instances' names: ``bot``, ``top``, or
+    ``theta`` for θ* of the full team over the context's variables."""
     if c.name == "or":
-        return [(Bottom(), Top()), (Top(), Bottom()), (Top(), Top()), (theta, theta)]
+        return [("bot", "top"), ("top", "bot"), ("top", "top"), ("theta", "theta")]
     if c.name == "imp":
-        return [(Bottom(), Bottom()), (Top(), Bottom()), (Top(), Top()), (Top(), theta)]
+        return [("bot", "bot"), ("top", "bot"), ("top", "top"), ("top", "theta")]
     if c.name == "contra":
         # Instantiation monotonicity makes the all-top vector decisive: a
         # context is contradictory on every vector iff it is on this one.
-        return [tuple(Top() for _ in range(c.arity))]
+        return [("top",) * c.arity]
     raise ValidationError(f"no instance battery for connective {c.name!r}")
+
+
+def _battery(c: ConnectiveSpec, nprime: VarSet) -> list[tuple[Formula, ...]]:
+    formula = {"bot": Bottom(), "top": Top(), "theta": theta_star(full_team(nprime))}
+    return [tuple(formula[n] for n in names) for names in _battery_names(c)]
 
 
 def instance_label(instances: Sequence[Formula]) -> str:
@@ -584,12 +590,10 @@ def _cached_battery(c: ConnectiveSpec, own: VarSet) -> tuple[tuple, ...]:
     nprime = own or _P1_VARS
     theta = tuple(theta_star_alternatives(full_team(nprime)))
     vectors = []
-    for instances in _battery(c, nprime):
+    for names, instances in zip(_battery_names(c), _battery(c, nprime)):
         vars = reduce(VarSet.union, map(var_set, instances), own)
-        full = (full_team(vars).mask,)
-        bound = tuple(
-            (0,) if type(f) is Bottom else full if type(f) is Top else theta for f in instances
-        )
+        alts = {"bot": (0,), "top": (full_team(vars).mask,), "theta": theta}
+        bound = tuple(alts[n] for n in names)
         vectors.append((instances, vars, bound, alternatives(c.context, vars, bound)))
     return tuple(vectors)
 

@@ -239,9 +239,15 @@ def test_consistent(capsys):
     assert (code, out) == (0, "false\n")
     code, out, _ = run(capsys, "consistent", "-c", "r1 + !p")
     assert (code, out) == (0, "true\n")
-    # five variables: decided on singletons, with no cap
+    # five variables: decided on singletons, with no team-enumeration cap
     code, out, _ = run(capsys, "consistent", "-c", "(=(p,q,r,s;t) + =(p,q,r,s;t)) & r1")
     assert (code, out) == (0, "true\n")
+    # but teams over more than MAX_TEAM_VARS variables are refused before
+    # any pattern mask is built
+    wide = " & ".join(f"x{i}" for i in range(25))
+    code, _, err = run(capsys, "consistent", "-c", wide)
+    assert code == 2
+    assert "teams over more than 24 variables are not supported" in err
 
 
 def test_truthfn_human(capsys):
