@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .expressiveness import synth_inql, synth_pd, theta_star, translate
-from .formulas import Top, Variable, is_atom, max_placeholder, substitute, to_text
+from .formulas import Variable, is_atom, substitute, to_text
 from .parsing import parse
 from .semantics import (
     check_basic_properties,
@@ -233,12 +233,10 @@ def _formula_result(phi) -> tuple[str, dict]:
     return to_text(phi), {"formula": to_text(phi)}
 
 
-def _truth_function_human(tau) -> str:
-    lines = []
-    for node in tau.tree.nodes:
-        team = tau.assignment[node.id]
-        lines.append(f"node {node.id}  {to_text(node.formula)}  ->  {json.dumps(team.rows())}")
-    return "\n".join(lines)
+def _truth_function_human(payload: dict) -> str:
+    return "\n".join(
+        f"node {n['id']}  {n['formula']}  ->  {json.dumps(n['team'])}" for n in payload["nodes"]
+    )
 
 
 def _run(args) -> tuple[str, dict]:
@@ -313,17 +311,18 @@ def _run(args) -> tuple[str, dict]:
         if tau is None:
             human = "none (the team does not satisfy the instantiated context)"
             return human, {"found": False, "truth_function": None}
-        return _truth_function_human(tau), {"found": True, "truth_function": tau.to_json()}
+        payload = tau.to_json()
+        return _truth_function_human(payload), {"found": True, "truth_function": payload}
 
     if args.command == "reduce":
         context = parse(args.context)
         vars = _parse_vars(args.vars)
         if vars is None:
-            vars = var_set(substitute(context, [Top()] * max_placeholder(context)))
+            vars = var_set(context)
         tau = build_reduced_truth_function(context, vars)
         payload = tau.to_json()
-        payload["context"] = to_text(tau.tree.node(0).formula)
-        return _truth_function_human(tau), payload
+        payload["context"] = payload["nodes"][0]["formula"]
+        return _truth_function_human(payload), payload
 
     if args.command == "refute":
         context = parse(args.context)
@@ -338,8 +337,7 @@ def _run(args) -> tuple[str, dict]:
         return human, ce.to_json()
 
     if args.command == "search" and args.closure:
-        pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
-        report = closure_check(builtin_connective(args.connective), pool)
+        report = closure_check(builtin_connective(args.connective), _parse_pool(args.pool))
         some = "one matches" if report.reachable else "none matches"
         lines = [
             f"{report.signatures} signatures reachable in {report.rounds} rounds; "
@@ -349,9 +347,8 @@ def _run(args) -> tuple[str, dict]:
         return "\n".join(lines), report.to_json()
 
     if args.command == "search":
-        pool = [_parse_pool_atom(t) for t in args.pool.split(",")]
         c = builtin_connective(args.connective)
-        report = search_contexts(c, pool, args.max_size)
+        report = search_contexts(c, _parse_pool(args.pool), args.max_size)
         lines = [
             f"{report.refuted}/{report.total} contexts refuted "
             f"(size <= {report.max_size}, {report.elapsed_s}s)"
@@ -377,6 +374,18 @@ def _emit(args, human: str, payload: dict) -> None:
     print(json.dumps(payload, indent=2) if args.json else human)
 
 
+def _parse_pool(csv: str) -> list:
+    """The ``--pool`` atoms, split at commas outside parentheses such as ``=(p,q;r)``'s."""
+    texts, depth = [""], 0
+    for ch in csv:
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            texts.append("")
+        else:
+            texts[-1] += ch
+    return [_parse_pool_atom(t) for t in texts]
+
+
 def _parse_pool_atom(text: str):
     phi = parse(text.strip())
     if not is_atom(phi):
@@ -397,10 +406,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # Substitution, subformulas and hashing recurse once per level.
-        print("error: formula nested too deeply for the recursion limit", file=sys.stderr)
         return 2
     except InternalInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -71,10 +71,10 @@ from .formulas import (
     Tensor,
     Top,
     Variable,
+    fold,
     fragment_check,
     is_atom,
     max_placeholder,
-    subformulas,
     substitute,
     syntax_tree,
     to_text,
@@ -83,6 +83,7 @@ from .formulas import (
 from .semantics import (
     _var_ones,
     alternatives,
+    alternatives_within,
     entails,
     equivalent,
     evaluate,
@@ -91,7 +92,7 @@ from .semantics import (
     node_alternatives,
     var_set,
 )
-from .teams import Team, VarSet, check_team_cap, full_team, team_masks
+from .teams import Team, VarSet, check_team_cap, full_team, maximal_masks, team_masks
 
 
 # --- Connectives ----------------------------------------------------------
@@ -145,34 +146,35 @@ def _require_pd(phi: Formula) -> None:
         raise ValidationError("not a PD context: only '&', '+' and atoms are allowed")
 
 
-def is_consistent(phi: Formula) -> bool:
-    """Whether some nonempty team satisfies the all-``top`` instance; by
-    downward closure, whether some singleton {v} does.  {v} satisfies
-    ``a & b`` when it satisfies both sides, ``a + b`` when it satisfies one,
-    a literal that v sets, and ``top``, dependence atoms and placeholders.
-    One pass finds, per node, the valuations v that do, as a bitmask."""
+def _singletons(phi: Formula) -> Callable[[Formula], int]:
+    """Per atom of the PD formula ``phi``, the bitmask of the valuations v
+    over its variables whose singleton {v} satisfies its all-``top`` instance."""
     _require_pd(phi)
     vars = var_set(phi)
     full = full_team(vars).mask  # raises past MAX_TEAM_VARS, before any mask
     ones = {v: _var_ones(len(vars), i) for i, v in enumerate(vars)}
-    done: list[int] = []
-    stack: list[tuple[Formula, bool]] = [(phi, False)]
-    while stack:
-        node, ready = stack.pop()
-        t = type(node)
-        if t is And or t is Tensor:
-            if not ready:
-                stack += ((node, True), (node.right, False), (node.left, False))
-                continue
-            right, left = done.pop(), done.pop()
-            done.append(left & right if t is And else left | right)
-        elif t is PosVar:
-            done.append(ones[node.var])
-        elif t is NegVar:
-            done.append(full ^ ones[node.var])
-        else:
-            done.append(0 if t is Bottom else full)
-    return done[0] != 0
+
+    def leaf(f: Formula) -> int:
+        t = type(f)
+        if t is PosVar:
+            return ones[f.var]
+        if t is NegVar:
+            return full ^ ones[f.var]
+        return 0 if t is Bottom else full
+
+    return leaf
+
+
+def _meet(f: Formula, left: int, right: int) -> int:
+    """The singletons satisfying ``a & b`` satisfy both sides, ``a + b`` one."""
+    return left & right if type(f) is And else left | right
+
+
+def is_consistent(phi: Formula) -> bool:
+    """Whether some nonempty team satisfies the all-``top`` instance; by
+    downward closure, whether some singleton does.  One pass finds, per
+    node, the valuations whose singletons do, as a bitmask."""
+    return fold(phi, _singletons(phi), _meet) != 0
 
 
 # Instance pool for spot-checking that a rewritten context behaves like the
@@ -204,40 +206,31 @@ def _pool_equivalent(a: Formula, b: Formula) -> bool:
 def normalize(phi: Formula) -> Formula:
     """An equivalent PD context with no inconsistent subformula.
 
-    A tensor with exactly one inconsistent side collapses to the other
-    side; everything else is rebuilt recursively.  Every rewrite preserves
-    satisfaction on every team for every instantiation, because an
-    inconsistent side of a tensor only ever contributes the empty team to
-    a split.  The output is double-checked: every subformula must be
-    consistent, and the output must agree with the input on a fixed pool
-    of substituents.
+    One pass rebuilds every node beside the singletons satisfying it (as
+    ``is_consistent`` finds them): a tensor with exactly one inconsistent
+    side collapses to the other side, and every other node is rebuilt.
+    Every rewrite preserves satisfaction on every team for every
+    instantiation, because an inconsistent side of a tensor only ever
+    contributes the empty team to a split.  The output is double-checked:
+    every subformula must be consistent, and the output must agree with the
+    input on a fixed pool of substituents.
     """
-    if not is_consistent(phi):
+    singletons = _singletons(phi)
+
+    def rebuild(f: Formula, left: tuple, right: tuple) -> tuple[Formula, int]:
+        (a, a_ones), (b, b_ones) = left, right
+        if type(f) is And:
+            return And(a, b), a_ones & b_ones
+        if a_ones and b_ones:
+            return Tensor(a, b), a_ones | b_ones
+        return left if a_ones else right
+
+    result, ones = fold(phi, lambda f: (f, singletons(f)), rebuild)
+    if not ones:
         raise ValidationError("cannot normalize an inconsistent context")
-
-    def rec(f: Formula) -> Formula:
-        if is_atom(f):
-            return f
-        if isinstance(f, And):
-            return And(rec(f.left), rec(f.right))
-        if isinstance(f, Tensor):
-            left_ok = is_consistent(f.left)
-            right_ok = is_consistent(f.right)
-            if left_ok and right_ok:
-                return Tensor(rec(f.left), rec(f.right))
-            if left_ok:
-                return rec(f.left)
-            if right_ok:
-                return rec(f.right)
-            raise InternalInvariantError(
-                "tensor with two inconsistent sides inside a consistent context"
-            )
-        raise InternalInvariantError(f"non-PD node {f!r} survived the fragment check")
-
-    result = rec(phi)
-    for sub in subformulas(result):
-        if not is_consistent(sub):
-            raise InternalInvariantError("normalization left an inconsistent subformula")
+    # an inconsistent subformula makes every node above it read 0
+    if not fold(result, singletons, lambda f, a, b: a and b and _meet(f, a, b)):
+        raise InternalInvariantError("normalization left an inconsistent subformula")
     if not _pool_equivalent(phi, result):
         raise InternalInvariantError("normalization changed the context on the instance pool")
     return result
@@ -282,12 +275,13 @@ class TruthFunction:
 
     def to_json(self) -> dict:
         vars = self.root_team.vars
+        texts = self.tree.texts()
         return {
             "vars": vars.names(),
             "nodes": [
                 {
                     "id": n.id,
-                    "formula": to_text(n.formula),
+                    "formula": texts[n.id],
                     "team": self.assignment[n.id].rows(),
                 }
                 for n in self.tree.nodes
@@ -569,15 +563,12 @@ def _battery(c: ConnectiveSpec, nprime: VarSet) -> list[tuple[Formula, ...]]:
     return [tuple(formula[n] for n in names) for names in _battery_names(c)]
 
 
-def instance_label(instances: Sequence[Formula]) -> str:
-    def one(f: Formula) -> str:
-        if isinstance(f, Bottom):
-            return "bot"
-        if isinstance(f, Top):
-            return "top"
-        return "theta"
+def _instance_name(f: Formula) -> str:
+    return "bot" if isinstance(f, Bottom) else "top" if isinstance(f, Top) else "theta"
 
-    return ",".join(one(f) for f in instances)
+
+def instance_label(instances: Sequence[Formula]) -> str:
+    return ",".join(map(_instance_name, instances))
 
 
 @lru_cache(maxsize=64)
@@ -657,10 +648,21 @@ def refute_uniform_definition(phi: Formula, c: ConnectiveSpec) -> Counterexample
 
 
 def verify_counterexample(ce: Counterexample) -> bool:
-    """Recompute both sides on the recorded team; the record must
+    """Recompute both sides by one walk each within the recorded team, each
+    instance (``bot``, ``top`` or θ* of the full team) read as its
+    alternatives there, θ*'s restricted from its lemma's; the record must
     reproduce exactly and actually disagree."""
-    lhs = evaluate(substitute(ce.context, ce.instances), ce.team)
-    rhs = ce.connective.evaluate(ce.instances, ce.team)
+    X = ce.team.mask
+    within = {"bot": [0], "top": [X]}
+    names = [_instance_name(f) for f in ce.instances]
+    if "theta" in names:
+        full = full_team(ce.team.vars)
+        if any(n == "theta" and f != theta_star(full) for n, f in zip(names, ce.instances)):
+            raise ValidationError("each instance must be bot, top or θ* of the full team")
+        within["theta"] = maximal_masks([a & X for a in theta_star_alternatives(full)])
+    bound = [within[n] for n in names]
+    lhs = X in alternatives_within(ce.context, ce.team, bound)
+    rhs = X in alternatives_within(ce.connective.context, ce.team, bound)
     return lhs == ce.lhs and rhs == ce.rhs and lhs != rhs
 
 
@@ -687,37 +689,20 @@ def enumerate_contexts(atom_pool: Sequence[Formula], max_size: int) -> list[Form
     right).  The sides of each binary context are contexts listed before
     it, the very same objects, and the leaves are the pool's own."""
     pool, _ = _checked_pool(atom_pool)
-    made: dict[int, list[Formula]] = {}
+    by_size: dict[int, list[Formula]] = {1: pool}
     printed: dict[int, list[tuple[Formula, str]]] = {}
-
-    def with_texts(size: int) -> list[tuple[Formula, str]]:
-        """The contexts of one size beside their texts, printed once each
-        (only sizes used as parts are printed)."""
-        if size not in printed:
-            printed[size] = [(f, to_text(f)) for f in by_size(size)]
-        return printed[size]
-
-    def by_size(size: int) -> list[Formula]:
-        if size in made:
-            return made[size]
-        if size == 1:
-            out = pool
-        else:
-            out = []
-            for left_size in range(1, size - 1, 2):
-                right_size = size - 1 - left_size
-                for op in (And, Tensor):
-                    for lhs, lhs_text in with_texts(left_size):
-                        for rhs, rhs_text in with_texts(right_size):
-                            if lhs_text <= rhs_text:
-                                out.append(op(lhs, rhs))
-        made[size] = out
-        return out
-
-    result: list[Formula] = []
-    for size in range(1, max_size + 1, 2):
-        result.extend(by_size(size))
-    return result
+    for size in range(3, max_size + 1, 2):
+        # the parts are the smaller sizes, each printed once
+        printed[size - 2] = [(f, to_text(f)) for f in by_size[size - 2]]
+        out = by_size[size] = []
+        for left_size in range(1, size - 1, 2):
+            right_size = size - 1 - left_size
+            for op in (And, Tensor):
+                for lhs, lhs_text in printed[left_size]:
+                    for rhs, rhs_text in printed[right_size]:
+                        if lhs_text <= rhs_text:
+                            out.append(op(lhs, rhs))
+    return [f for size in range(1, max_size + 1, 2) for f in by_size[size]]
 
 
 # A search that must list the contexts it leaves unrefuted enumerates them,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError
 
@@ -159,6 +159,7 @@ def fragment_check(phi: Formula, fragment: Fragment) -> bool:
 
 _GLYPH = {And: "&", Tensor: "+", IDisj: "|", Impl: "->"}
 _SPACED = {t: f" {g} " for t, g in _GLYPH.items()}
+_BUILD = object()  # on fold's stack: build the node below from its sides
 
 
 def to_text(phi: Formula) -> str:
@@ -213,22 +214,37 @@ def _wrapped(child: Formula, parent: Formula, first: bool) -> bool:
     return first == isinstance(parent, Impl)
 
 
+def fold(phi: Formula, leaf: Callable, node: Callable):
+    """The value of ``phi`` built bottom-up, in post-order: ``leaf(f)`` for
+    each atom occurrence ``f``, ``node(f, left, right)`` for each connective
+    occurrence from the values of its sides.  The walk keeps its own stack,
+    so any depth folds, and no memo: a shared subformula folds per occurrence."""
+    values: list = []
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        if f is _BUILD:
+            f = stack.pop()
+            right = values.pop()
+            values[-1] = node(f, values[-1], right)
+        elif type(f) in BINARY_NODES:
+            stack += (f, _BUILD, f.right, f.left)
+        else:
+            values.append(leaf(f))
+    return values[0]
+
+
 def subformulas(phi: Formula) -> list[Formula]:
     """All subformulas of ``phi``, atoms not decomposed, in post-order of
-    first occurrence, deduplicated by structural equality."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
+    first occurrence, deduplicated by structural equality.  Each is keyed
+    by its type and the keys of its sides, so no deep formula is hashed."""
+    firsts: dict = {}  # key -> (its number, its first occurrence)
 
-    def walk(f: Formula) -> None:
-        if isinstance(f, BINARY_NODES):
-            walk(f.left)
-            walk(f.right)
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
+    def key(k, f: Formula) -> int:
+        return firsts.setdefault(k, (len(firsts), f))[0]
 
-    walk(phi)
-    return out
+    fold(phi, lambda f: key(f, f), lambda f, left, right: key((type(f), left, right), f))
+    return [f for _, f in firsts.values()]
 
 
 def scan_variables(phi: Formula) -> tuple[set[Variable], set[int]]:
@@ -287,11 +303,11 @@ def substitute(phi: Formula, theta: Sequence[Formula]) -> Formula:
     ``theta`` must be long enough for every placeholder that occurs;
     unused entries are fine.
     """
-    if isinstance(phi, Placeholder):
-        return substituent(theta, phi.index)
-    if isinstance(phi, BINARY_NODES):
-        return type(phi)(substitute(phi.left, theta), substitute(phi.right, theta))
-    return phi
+    return fold(
+        phi,
+        lambda f: substituent(theta, f.index) if type(f) is Placeholder else f,
+        lambda f, left, right: type(f)(left, right),
+    )
 
 
 @dataclass(frozen=True)
@@ -327,6 +343,21 @@ class SyntaxTree:
 
     def placeholder_leaves(self) -> list[TreeNode]:
         return [n for n in self.leaves() if isinstance(n.formula, Placeholder)]
+
+    def texts(self) -> list[str]:
+        """By node id, ``to_text`` of each node's formula, built from its
+        children's texts, so a deep tree costs the length of its texts."""
+        out = [""] * len(self.nodes)
+        for n in reversed(self.nodes):  # ids are pre-order: children come later
+            f = n.formula
+            if not n.children:
+                out[n.id] = _atom_text(f)
+                continue
+            y, z = (out[c] for c in n.children)
+            y = f"({y})" if _wrapped(f.left, f, True) else y
+            z = f"({z})" if _wrapped(f.right, f, False) else z
+            out[n.id] = y + _SPACED[type(f)] + z
+        return out
 
     def ancestors(self, node_id: int) -> list[TreeNode]:
         """Strict ancestors of a node, nearest first."""

@@ -57,8 +57,8 @@ _NEGATIONS = ("~", "!")
 
 _PLACEHOLDER_RE = re.compile(r"r([0-9]+)\Z")
 
-# An input bound: the parser keeps its own stacks, but substitution,
-# subformulas and the formulas' ==/hash still recurse once per level.
+# An input bound: the parser and every formula walk keep their own stacks,
+# but the formulas' generated ==/hash still recurse once per nesting level.
 MAX_NESTING_DEPTH = 100
 
 # Binding power of each binary connective, and its node type by power.  An

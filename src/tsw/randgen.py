@@ -71,14 +71,21 @@ def random_formula(
     max_depth: int = DEFAULT_MAX_DEPTH,
     fragment: Fragment = Fragment.PT0,
 ) -> Formula:
-    """A random placeholder-free formula of the given fragment whose
-    variables come from ``vars``, with nesting depth at most ``max_depth``."""
-    if max_depth <= 0 or rng.random() < _ATOM_PROB:
-        return _random_atom(rng, vars, fragment)
-    op = rng.choice(_CONNECTIVES[fragment])
-    left = random_formula(rng, vars, max_depth=max_depth - 1, fragment=fragment)
-    right = random_formula(rng, vars, max_depth=max_depth - 1, fragment=fragment)
-    return op(left, right)
+    """A random placeholder-free formula of the given fragment over ``vars``,
+    at most ``max_depth`` deep, drawn in pre-order: a node's connective,
+    then its whole left side, then its right."""
+    built: list[Formula] = []
+    todo: list = [max_depth]  # depths still to draw, and connectives to build
+    while todo:
+        item = todo.pop()
+        if isinstance(item, type):
+            right = built.pop()
+            built[-1] = item(built[-1], right)
+        elif item <= 0 or rng.random() < _ATOM_PROB:
+            built.append(_random_atom(rng, vars, fragment))
+        else:
+            todo += (rng.choice(_CONNECTIVES[fragment]), item - 1, item - 1)
+    return built[0]
 
 
 def random_team(

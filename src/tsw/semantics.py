@@ -28,13 +28,13 @@ up, so a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
 alternatives raises ``CapExceededError`` instead.
 
 ``alternatives`` gives the alternatives of a formula on the full team over
-a variable set, and ``join`` the alternatives of ``&`` or ``+`` from those
-of its two sides.  ``alternatives`` reads a context's placeholder ``r<i>``
-as a formula whose alternatives there are a given antichain, on the walk
-and in its fallback alike, so the refutation battery of ``definability``
-binds its instances' alternatives without walking them; ``node_alternatives``
-walks each substituent once within its team and binds the result.  No
-instance is built by substitution.
+a variable set, ``alternatives_within`` those within any team, and ``join``
+those of ``&`` or ``+`` from those of its two sides.  Both read a context's
+placeholder ``r<i>`` as a formula whose alternatives there are a given
+antichain (``alternatives`` in its fallback too), so ``definability`` binds
+its battery instances' alternatives without walking them;
+``node_alternatives`` walks each substituent once within its team and
+binds the result.  No instance is built by substitution.
 ``truth_set``, ``entails`` and ``equivalent`` read their answers off
 ``alternatives``: the truth set is the down-set of the alternatives, one
 formula entails another when each of its alternatives lies inside one of
@@ -57,7 +57,6 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
-    BINARY_NODES,
     And,
     Bottom,
     Dep,
@@ -71,6 +70,7 @@ from .formulas import (
     Tensor,
     Top,
     Variable,
+    fold,
     scan_variables,
     substituent,
     to_text,
@@ -128,21 +128,15 @@ def _check_closed(used: set[Variable], placeholders: set[int], team: Team) -> No
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
 
 
-def _closed_on(phi: Formula, team: Team) -> set[Variable]:
-    """The variables of ``phi``, checked to be placeholder-free and among
-    the team's."""
-    used, placeholders = scan_variables(phi)
-    _check_closed(used, placeholders, team)
-    return used
-
-
 def evaluate(phi: Formula, team: Team) -> bool:
     """Whether ``team`` satisfies ``phi`` (which must be placeholder-free
     with all its variables among the team's).
 
     Raises ``CapExceededError`` when deciding needs more than
     ``ALTERNATIVES_BUDGET`` candidate alternatives."""
-    return _Walk(team, _closed_on(phi, team)).verdict(phi)
+    used, placeholders = scan_variables(phi)
+    _check_closed(used, placeholders, team)
+    return _Walk(team, used).verdict(phi)
 
 
 def node_alternatives(
@@ -169,7 +163,7 @@ def node_alternatives(
     for node in reversed(tree.nodes):  # ids are pre-order: children come later
         if node.children:
             y, z = node.children
-            alts[node.id] = walk.combine(type(node.formula), alts[y], alts[z])
+            alts[node.id] = walk.combine(node.formula, alts[y], alts[z])
         else:
             alts[node.id] = walk.atom_alternatives(node.formula)
     return alts
@@ -269,29 +263,11 @@ class _Walk:
                 return val
 
     def alternatives(self, phi: Formula) -> list[int]:
-        if type(phi) not in BINARY_NODES:
-            return self.atom_alternatives(phi)
-        done: list[list[int]] = []
-        stack: list[tuple[Formula, bool]] = [(phi, False)]
-        while stack:
-            node, ready = stack.pop()
-            t = type(node)
-            if t not in BINARY_NODES:
-                done.append(self.atom_alternatives(node))
-                continue
-            if not ready:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-                continue
-            right = done.pop()
-            left = done.pop()
-            done.append(self.combine(t, left, right))
-        return done[0]
+        return fold(phi, self.atom_alternatives, self.combine)
 
-    def combine(self, t: type, left: list[int], right: list[int]) -> list[int]:
-        """The alternatives of a binary node of type ``t`` from those of its
-        two children."""
+    def combine(self, node: Formula, left: list[int], right: list[int]) -> list[int]:
+        """The alternatives of a binary node from those of its two children."""
+        t = type(node)
         if t is IDisj:
             self.charge(len(left) + len(right))
             return maximal_masks(left + right)
@@ -464,19 +440,8 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
     npat = 1 << n
     all_teams = (1 << (1 << npat)) - 1
     index_of = {v: i for i, v in enumerate(vars)}
-    memo: dict[int, int] = {}
-    pins: list[Formula] = []
 
-    def run(node: Formula) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        out = build(node)
-        memo[id(node)] = out
-        pins.append(node)
-        return out
-
-    def build(node: Formula) -> int:
+    def leaf(node: Formula) -> int:
         if isinstance(node, PosVar):
             return _down_set((_var_ones(n, index_of[node.var]),), npat)
         if isinstance(node, NegVar):
@@ -496,20 +461,21 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
                     ):
                         bad |= 1 << ((1 << u) | (1 << w))
             return all_teams & ~_subset_or(bad, npat)
-        if isinstance(node, And):
-            return run(node.left) & run(node.right)
-        if isinstance(node, IDisj):
-            return run(node.left) | run(node.right)
-        if isinstance(node, Tensor):
-            return _tensor_indicator(run(node.left), run(node.right), npat)
-        if isinstance(node, Impl):
-            bad = run(node.left) & all_teams & ~run(node.right)
-            return all_teams & ~_subset_or(bad, npat)
         if isinstance(node, Placeholder):
             return _down_set(bound[node.index - 1], npat)
         raise InternalInvariantError(f"unknown node {node!r}")
 
-    return run(phi)
+    def combine(node: Formula, left: int, right: int) -> int:
+        if isinstance(node, And):
+            return left & right
+        if isinstance(node, IDisj):
+            return left | right
+        if isinstance(node, Tensor):
+            return _tensor_indicator(left, right, npat)
+        bad = left & all_teams & ~right  # an implication
+        return all_teams & ~_subset_or(bad, npat)
+
+    return fold(phi, leaf, combine)
 
 
 # --- Judgments over all teams ---------------------------------------------
@@ -519,23 +485,27 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
 
 
 def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()) -> list[int]:
-    """The alternatives of ``phi`` on the full team over ``vars``, an
-    antichain of team masks, with placeholder ``r<i>`` read as a formula
-    whose alternatives there are the antichain ``bound[i-1]``.  ``vars``
-    must hold the formula's variables.  When the walk would exceed
-    ``ALTERNATIVES_BUDGET``, the maximal teams of the indicator engine, which
-    reads the placeholders the same way, at a cost bounded by the hard
-    variable cap."""
-    used, placeholders = scan_variables(phi)
-    _closed_variables(used, placeholders, vars, bound)
-    walk = _Walk(full_team(vars), used)
-    if placeholders:
-        walk.bound = {i: list(bound[i - 1]) for i in placeholders}
+    """``alternatives_within`` the full team over ``vars``, which must hold
+    the formula's variables.  Past ``ALTERNATIVES_BUDGET``, the maximal teams
+    of the indicator engine, which reads the placeholders the same way, at a
+    cost bounded by the hard variable cap."""
+    team = full_team(vars)
     try:
-        return walk.alternatives(phi)
+        return alternatives_within(phi, team, bound)
     except CapExceededError:
         ind = _truth_indicator(phi, vars, bound)
         return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
+
+
+def alternatives_within(phi: Formula, team: Team, bound: Sequence[Sequence[int]] = ()) -> list[int]:
+    """The alternatives of ``phi`` within ``team`` from one walk, placeholder
+    ``r<i>`` read as the antichain ``bound[i-1]``: ``team`` satisfies ``phi``
+    iff it is one of them.  Past ``ALTERNATIVES_BUDGET``, CapExceededError."""
+    used, placeholders = scan_variables(phi)
+    _closed_variables(used, placeholders, team.vars, bound)
+    walk = _Walk(team, used)
+    walk.bound = {i: list(bound[i - 1]) for i in placeholders}
+    return walk.alternatives(phi)
 
 
 def truth_set(phi: Formula, vars: Optional[VarSet] = None, *, force: bool = False) -> TeamFamily:

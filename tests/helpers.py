@@ -6,8 +6,10 @@ which judges by the indicator engine as the library once did.  The real
 engines must agree with these transcriptions on small inputs.
 """
 
+import contextlib
 import itertools
 import re
+import sys
 from functools import reduce
 
 from hypothesis import strategies as st
@@ -138,6 +140,77 @@ def reference_refute(phi, c):
             if lhs != rhs:
                 return Counterexample(phi, c, instances, vars, team, lhs, rhs)
     return None
+
+
+def reference_substitute(phi, theta):
+    """Substitution by recursion, one call per level; the reference for
+    ``formulas.substitute``."""
+    if isinstance(phi, Placeholder):
+        return theta[phi.index - 1]
+    if isinstance(phi, (And, Tensor, IDisj, Impl)):
+        left, right = reference_substitute(phi.left, theta), reference_substitute(phi.right, theta)
+        return type(phi)(left, right)
+    return phi
+
+
+def reference_subformulas(phi):
+    """Subformulas by recursion, deduplicated by hashing each one; the
+    reference for ``formulas.subformulas``."""
+    seen = set()
+    out = []
+
+    def walk(f):
+        if isinstance(f, (And, Tensor, IDisj, Impl)):
+            walk(f.left)
+            walk(f.right)
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+
+    walk(phi)
+    return out
+
+
+def reference_is_consistent(phi):
+    """Whether some singleton over the context's variables satisfies its
+    all-``top`` instance, by ``evaluate``; the reference for
+    ``definability.is_consistent``."""
+    from tsw.formulas import max_placeholder
+    from tsw.semantics import var_set
+
+    instance = reference_substitute(phi, [Top()] * max_placeholder(phi))
+    vars = var_set(phi)
+    return any(evaluate(instance, Team(vars, 1 << v)) for v in range(1 << len(vars)))
+
+
+def reference_normalize(phi):
+    """The rewrite of ``definability.normalize`` by recursion, deciding the
+    sides of each tensor by ``reference_is_consistent``, without its
+    checks: a tensor with one inconsistent side becomes the other side."""
+    if isinstance(phi, And):
+        return And(reference_normalize(phi.left), reference_normalize(phi.right))
+    if isinstance(phi, Tensor):
+        left_ok = reference_is_consistent(phi.left)
+        right_ok = reference_is_consistent(phi.right)
+        if left_ok and right_ok:
+            return Tensor(reference_normalize(phi.left), reference_normalize(phi.right))
+        return reference_normalize(phi.left if left_ok else phi.right)
+    return phi
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Set the recursion limit to the current frame depth plus ``frames``,
+    so code run inside may not recurse per level of a deep formula."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def reference_search(c, atom_pool, max_size):

@@ -488,12 +488,42 @@ def test_vars_flag_rejects_empty_and_bad_names(capsys):
     assert code == 1
 
 
-def test_too_deep_nesting_exits_two(capsys):
-    # parses (a flat chain), but substitution recurses once per conjunct
-    code, out, err = run(capsys, "subst", "-c", " & ".join(["r1"] * 3000), "-f", "p")
-    assert code == 2
-    assert out == ""
-    assert err == "error: formula nested too deeply for the recursion limit\n"
+def test_every_formula_command_answers_on_a_deep_chain(capsys):
+    # 3,000 conjuncts nest 2,999 deep; no command recurses per level
+    formula = " & ".join(["(p + !q)"] * 3000)
+    context = " & ".join(["(r1 + !p)"] * 3000)
+    team = ["-t", "[[0,1]]", "--vars", "p,q"]
+    commands = [
+        ["parse", "-f", formula],
+        ["eval", "-f", formula, *team],
+        ["truthset", "-f", formula],
+        ["valid", "-f", formula],
+        ["entails", "-f", formula, "-f", formula],
+        ["equiv", "-f", formula, "-f", formula],
+        ["properties", "-f", formula],
+        ["translate", "-f", formula, "--target", "inql"],
+        ["subst", "-c", context, "-f", "q"],
+        ["normalize", "-c", context],
+        ["consistent", "-c", context],
+        ["truthfn", "-c", context, "-f", "q", *team],
+        ["reduce", "-c", context],
+        ["refute", "-c", context, "--connective", "imp"],
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv[0]
+    assert json.loads(out)["instances"] == ["bot", "bot"]
+
+
+def test_search_pool_keeps_commas_inside_parentheses(capsys):
+    search = ["search", "--connective", "or", "--max-size", "5", "--pool"]
+    code, out, err = run(capsys, *search, "r1,r2,=(p,q;r)")
+    assert (code, err) == (0, "")
+    assert out.startswith("87/87 contexts refuted (size <= 5, ")
+    obj = run_json(capsys, *search, " r1, r2 ,=(p, q; r)", "--closure", "--json")
+    assert obj["pool"] == ["r1", "r2", "=(p,q;r)"]
+    code, _, err = run(capsys, "search", "--connective", "or", "--pool", "r1,r2,(p,q)")
+    assert code == 1
 
 
 def test_parse_past_the_nesting_depth_exits_one(capsys):

@@ -37,9 +37,13 @@ from .helpers import (
     P,
     PQ,
     context_texts_bruteforce,
+    reference_is_consistent,
+    reference_normalize,
     reference_refute,
     reference_search,
     reference_split,
+    reference_subformulas,
+    reference_substitute,
     st_formula,
     subteams,
 )
@@ -106,6 +110,22 @@ def test_is_consistent_matches_the_all_top_alternatives():
     # over five variables, where the lattice has no answer
     assert is_consistent(parse("(=(p,q,r,s;t) + =(p,q,r,s;t)) & r1"))
     assert not is_consistent(parse("(=(p,q,r,s;t) + =(p,q,r,s;t)) & ((t & !t) + bot)"))
+
+
+def test_walks_match_their_recursive_references_on_every_context():
+    from tsw.formulas import subformulas, substitute
+
+    instances = (parse("p & q"), parse("=(p) + !q"))
+    contexts = enumerate_contexts(POOL, 7)
+    for phi in contexts:
+        consistent = is_consistent(phi)
+        assert consistent == reference_is_consistent(phi), to_text(phi)
+        if consistent:
+            assert normalize(phi) == reference_normalize(phi), to_text(phi)
+        got, want = subformulas(phi), reference_subformulas(phi)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), to_text(phi)
+        assert substitute(phi, instances) == reference_substitute(phi, instances)
+    assert len(contexts) == 15_015
 
 
 def test_is_consistent_requires_pd():
@@ -614,6 +634,22 @@ def test_verify_counterexample_rejects_tampering():
     cx = refute_uniform_definition(parse("r1 + r2"), builtin_connective("or"))
     assert not verify_counterexample(replace(cx, lhs=False))
     assert not verify_counterexample(replace(cx, team=Team.empty(cx.team.vars)))
+
+
+def test_verify_counterexample_binds_theta_from_its_lemma():
+    # theta over four variables is past the walk's budget on the full team
+    from dataclasses import replace
+
+    ce = refute_uniform_definition(parse("r1 + r2 + =(a,b,c;d)"), builtin_connective("or"))
+    assert instance_label(ce.instances) == "theta,theta" and len(ce.vars) == 4
+    assert verify_counterexample(ce)
+    assert not verify_counterexample(replace(ce, rhs=True))
+    with pytest.raises(ValidationError):
+        verify_counterexample(replace(ce, instances=(parse("a"), parse("b"))))
+    pool = tuple(parse(s) for s in ("r1", "r2", "=(a,b,c;d)"))
+    rep = search_contexts(builtin_connective("or"), pool, 5).to_json()
+    assert rep["total"] == rep["refuted"] == 87
+    assert rep["by_instance"] == {"bot,top": 51, "top,bot": 19, "theta,theta": 17}
 
 
 def test_enumerate_contexts_counts_and_dedup():

@@ -19,6 +19,7 @@ from tsw.formulas import (
     Tensor,
     Top,
     Variable,
+    fold,
     fragment_check,
     is_context,
     max_placeholder,
@@ -31,7 +32,7 @@ from tsw.formulas import (
 )
 from tsw.parsing import MAX_NESTING_DEPTH, parse
 
-from .helpers import reference_parse, st_formula
+from .helpers import recursion_headroom, reference_parse, st_formula
 
 p, q, r = Variable("p"), Variable("q"), Variable("r")
 
@@ -336,6 +337,13 @@ def test_syntax_tree_builds_long_chains():
     assert sum(1 for _ in tree.leaves()) == 5000
 
 
+@settings(max_examples=200)
+@given(st_formula([p, q, r], Fragment.PT0, max_leaves=12))
+def test_syntax_tree_texts_match_to_text(phi):
+    tree = syntax_tree(phi)
+    assert tree.texts() == [to_text(n.formula) for n in tree.nodes]
+
+
 def test_syntax_tree_placeholder_leaves_and_ancestors():
     tree = syntax_tree(parse("(r1 & p) + r2"))
     ph = tree.placeholder_leaves()
@@ -359,3 +367,41 @@ def test_dep_atom_accepts_degenerate_shapes():
     assert to_text(Dep((p, p), q)) == "=(p,p;q)"
     assert to_text(Dep((p,), p)) == "=(p;p)"
     assert parse("=(p,p;q)") == Dep((p, p), q)
+
+
+def test_fold_visits_in_post_order():
+    calls = []
+    phi = parse("(p & r1) + (q -> p)")
+    text = fold(
+        phi,
+        lambda f: calls.append(to_text(f)) or to_text(f),
+        lambda f, a, b: calls.append(type(f).__name__) or f"[{a} {type(f).__name__} {b}]",
+    )
+    assert calls == ["p", "r1", "And", "q", "p", "Impl", "Tensor"]
+    assert text == "[[p And r1] Tensor [q Impl p]]"
+    assert fold(Top(), lambda f: 1, None) == 1
+
+
+def test_bottom_up_walks_do_not_recurse():
+    # 5,000 conjuncts nest 4,999 deep; each walk keeps its own stack
+    from tsw.definability import is_consistent, normalize
+    from tsw.semantics import alternatives, check_basic_properties, var_set
+
+    unit = "(r1 + (p & !p))"
+    context = parse(" & ".join([unit] * 5000))
+    with recursion_headroom(50):
+        size = fold(context, lambda f: 1, lambda f, a, b: a + b + 1)
+        instance = substitute(context, [parse("q + !p")])
+        subs = subformulas(context)
+        consistent = is_consistent(context)
+        normal = normalize(context)
+        alts = alternatives(instance, var_set(instance))
+        report = check_basic_properties(instance)
+    assert size == len(syntax_tree(context)) == 5000 * 5 + 4999
+    assert to_text(instance) == " & ".join(["(q + !p + (p & !p))"] * 5000)
+    # r1, p, !p, p & !p, the unit, then one prefix of each longer length
+    assert len(subs) == 5 + 4999 and to_text(subs[4]) == unit[1:-1]
+    assert consistent
+    assert to_text(normal) == " & ".join(["r1"] * 5000)
+    assert alts == [0b1101]
+    assert report.ok
