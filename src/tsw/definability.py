@@ -297,7 +297,9 @@ def verify_truth_function(
     """Check the three defining conditions, plus the derived fact that
     teams shrink along every tree edge."""
     tree = syntax_tree(phi)
-    if tuple(n.formula for n in tau.tree.nodes) != tuple(n.formula for n in tree.nodes):
+    if tau.tree is not tree and tuple(n.formula for n in tau.tree.nodes) != tuple(
+        n.formula for n in tree.nodes
+    ):
         raise ValidationError("the truth function's tree does not match the context")
     missing = [n.id for n in tree.nodes if n.id not in tau.assignment]
     if missing:

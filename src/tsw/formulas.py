@@ -14,6 +14,13 @@ into a context: a template awaiting uniform substitution.  ``top`` is a
 primitive atom satisfied by every team; it is admitted in every fragment
 so that contexts can be instantiated trivially without fragment-specific
 encodings.
+
+Each formula node keeps what is derived from it, computed by one walk on
+first request and stored on the node: its census (the variables, the
+placeholder indices and the node types occurring in it) and its syntax
+tree.  The fields stay frozen, and ``==``, ``hash``, ``repr`` and pickling
+read the fields alone, so what a node keeps is never seen; it lives and
+dies with the node.
 """
 
 from __future__ import annotations
@@ -50,28 +57,60 @@ class Variable:
         return self.name
 
 
+class _Kept:
+    """A fact derived from a formula node, built by ``build(node)`` on first
+    request and stored on the node under the descriptor's name, where later
+    reads find it first.  ``object.__setattr__`` keeps it among the node's
+    inline attribute values, where ``functools.cached_property`` would give
+    every node a ``__dict__`` of its own."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, node, owner=None):
+        value = self.build(node)
+        object.__setattr__(node, self.name, value)
+        return value
+
+
+class _Node:
+    """The base of the formula node classes, which keep their census and
+    syntax tree (see the module docstring).  Pickling, like the generated
+    ``==``, ``hash`` and ``repr``, reads the fields alone."""
+
+    _census = _Kept(lambda node: _take_census(node))
+    _tree = _Kept(lambda node: _build_tree(node))
+
+    def __getstate__(self):
+        state = {k: v for k, v in self.__dict__.items() if k not in ("_census", "_tree")}
+        return state or None
+
+
 @dataclass(frozen=True)
-class PosVar:
+class PosVar(_Node):
     var: Variable
 
 
 @dataclass(frozen=True)
-class NegVar:
+class NegVar(_Node):
     var: Variable
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Dep:
+class Dep(_Node):
     """Dependence atom ``=(args; target)``: within a team, the target's
     value is a function of the argument values.  Empty args is the
     constancy atom ``=(target)``."""
@@ -81,7 +120,7 @@ class Dep:
 
 
 @dataclass(frozen=True)
-class Placeholder:
+class Placeholder(_Node):
     """Numbered hole ``r<index>`` filled by uniform substitution."""
 
     index: int
@@ -92,25 +131,25 @@ class Placeholder:
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class IDisj:
+class IDisj(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Impl:
+class Impl(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -132,29 +171,19 @@ class Fragment(enum.Enum):
     INQL = "inql"
 
 
-# Per fragment: the binary node types and atom types it admits.  Placeholders
-# and top are admitted everywhere (see module docstring).
+# Per fragment: the node types it admits.  Placeholders and top are admitted
+# everywhere (see module docstring).
 _ALLOWED = {
-    Fragment.PT0: (BINARY_NODES, ATOM_NODES),
-    Fragment.PD: ((And, Tensor), ATOM_NODES),
-    Fragment.INQL: ((And, IDisj, Impl), (PosVar, Bottom, Top, Placeholder)),
+    Fragment.PT0: frozenset(BINARY_NODES + ATOM_NODES),
+    Fragment.PD: frozenset((And, Tensor) + ATOM_NODES),
+    Fragment.INQL: frozenset((And, IDisj, Impl, PosVar, Bottom, Top, Placeholder)),
 }
 
 
 def fragment_check(phi: Formula, fragment: Fragment) -> bool:
     """True iff every connective and atom of ``phi`` is admitted in ``fragment``."""
-    nodes, atoms = _ALLOWED[fragment]
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, BINARY_NODES):
-            if not isinstance(f, nodes):
-                return False
-            stack.append(f.left)
-            stack.append(f.right)
-        elif not isinstance(f, atoms):
-            return False
-    return True
+    _, _, types = phi._census
+    return _ALLOWED[fragment].issuperset(types)
 
 
 _GLYPH = {And: "&", Tensor: "+", IDisj: "|", Impl: "->"}
@@ -247,15 +276,23 @@ def subformulas(phi: Formula) -> list[Formula]:
     return [f for _, f in firsts.values()]
 
 
-def scan_variables(phi: Formula) -> tuple[set[Variable], set[int]]:
-    """The variables occurring in ``phi`` and the indices of its
-    placeholders, from one walk."""
+# A formula's census: the variables occurring in it, its placeholder indices
+# and the types of its nodes, each once.  A plain tuple, which builds in a
+# tenth of a named tuple's time: fresh formulas take their census on every
+# evaluation.
+Census = tuple[frozenset[Variable], frozenset[int], tuple[type, ...]]
+
+
+def _take_census(phi: Formula) -> Census:
+    """The census of ``phi``, from one walk with its own stack."""
     acc: set[Variable] = set()
     placeholders: set[int] = set()
+    types: set[type] = set()
     stack = [phi]
     while stack:
         f = stack.pop()
         t = type(f)
+        types.add(t)
         if t in BINARY_NODES:
             stack.append(f.left)
             stack.append(f.right)
@@ -266,26 +303,36 @@ def scan_variables(phi: Formula) -> tuple[set[Variable], set[int]]:
             acc.add(f.target)
         elif t is Placeholder:
             placeholders.add(f.index)
-    return acc, placeholders
+    return frozenset(acc), frozenset(placeholders), tuple(types)
+
+
+def scan_variables(phi: Formula) -> tuple[frozenset[Variable], frozenset[int]]:
+    """The variables occurring in ``phi`` and the indices of its
+    placeholders, from its census."""
+    used, placeholders, _ = phi._census
+    return used, placeholders
 
 
 def variables(phi: Formula) -> tuple[Variable, ...]:
     """Variables occurring in ``phi``, sorted by name."""
-    return tuple(sorted(scan_variables(phi)[0]))
+    used, _, _ = phi._census
+    return tuple(sorted(used))
 
 
 def placeholder_indices(phi: Formula) -> tuple[int, ...]:
-    return tuple(sorted(scan_variables(phi)[1]))
+    _, placeholders, _ = phi._census
+    return tuple(sorted(placeholders))
 
 
 def is_context(phi: Formula) -> bool:
     """True iff ``phi`` contains at least one placeholder."""
-    return bool(placeholder_indices(phi))
+    _, placeholders, _ = phi._census
+    return bool(placeholders)
 
 
 def max_placeholder(phi: Formula) -> int:
-    idx = placeholder_indices(phi)
-    return idx[-1] if idx else 0
+    _, placeholders, _ = phi._census
+    return max(placeholders, default=0)
 
 
 def substituent(theta: Sequence[Formula], index: int) -> Formula:
@@ -310,7 +357,7 @@ def substitute(phi: Formula, theta: Sequence[Formula]) -> Formula:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """One occurrence of a subformula within a syntax tree."""
 
@@ -370,9 +417,16 @@ class SyntaxTree:
 
 
 def syntax_tree(phi: Formula) -> SyntaxTree:
-    """Build the occurrence tree of ``phi``: leaves are atom occurrences,
+    """The occurrence tree of ``phi``: leaves are atom occurrences,
     internal nodes are connective occurrences with exactly two children.
-    The walk keeps its own stack, so any depth builds."""
+    It is built once and kept on ``phi``, so every call returns the same
+    tree."""
+    return phi._tree
+
+
+def _build_tree(phi: Formula) -> SyntaxTree:
+    """The occurrence tree of ``phi``, from one pre-order walk with its own
+    stack, so any depth builds."""
     formulas: list[Formula] = []
     parents: list[Optional[int]] = []
     depths: list[int] = []

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
@@ -120,7 +120,7 @@ def _var_ones(n: int, i: int) -> int:
     return got
 
 
-def _check_closed(used: set[Variable], placeholders: set[int], team: Team) -> None:
+def _check_closed(used: AbstractSet[Variable], placeholders: AbstractSet[int], team: Team) -> None:
     if placeholders:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
     missing = sorted(v.name for v in used if v not in team.vars)
@@ -154,7 +154,7 @@ def node_alternatives(
         if type(f) is Placeholder and f.index not in insts:
             inst = insts[f.index] = substituent(theta, f.index)
             vs, ph = scan_variables(inst)
-            used |= vs
+            used |= vs  # a new set: the census it came from is frozen
             placeholders |= ph
     _check_closed(used, placeholders, team)
     walk = _Walk(team, used)
@@ -204,7 +204,7 @@ class _Walk:
 
     __slots__ = ("X", "ones", "spent", "bound")
 
-    def __init__(self, team: Team, used: set[Variable]):
+    def __init__(self, team: Team, used: AbstractSet[Variable]):
         names = team.vars.names()
         self.X = team.mask
         # name of each variable the formula uses -> the patterns setting it to 1
@@ -417,7 +417,7 @@ def _bit_positions(x: int) -> list[int]:
 
 
 def _closed_variables(
-    used: set[Variable], placeholders: set[int], vars: VarSet, bound: Sequence = ()
+    used: AbstractSet[Variable], placeholders: AbstractSet[int], vars: VarSet, bound: Sequence = ()
 ) -> None:
     """Check a formula with these variables and placeholders: ``bound`` must
     cover its placeholders, and ``vars`` its variables."""

@@ -25,8 +25,10 @@ from tsw.formulas import (
     NegVar,
     Placeholder,
     PosVar,
+    SyntaxTree,
     Tensor,
     Top,
+    TreeNode,
     Variable,
 )
 from tsw.expressiveness import theta_star
@@ -151,6 +153,75 @@ def reference_substitute(phi, theta):
         left, right = reference_substitute(phi.left, theta), reference_substitute(phi.right, theta)
         return type(phi)(left, right)
     return phi
+
+
+def reference_scan_variables(phi):
+    """The variables and placeholder indices of ``phi`` by a fresh walk,
+    kept on nothing; the reference for the census behind
+    ``formulas.scan_variables``."""
+    acc, placeholders = set(), set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t in (And, Tensor, IDisj, Impl):
+            stack.append(f.left)
+            stack.append(f.right)
+        elif t is PosVar or t is NegVar:
+            acc.add(f.var)
+        elif t is Dep:
+            acc.update(f.args)
+            acc.add(f.target)
+        elif t is Placeholder:
+            placeholders.add(f.index)
+    return acc, placeholders
+
+
+_REFERENCE_ALLOWED = {
+    Fragment.PT0: ((And, Tensor, IDisj, Impl), (PosVar, NegVar, Bottom, Top, Dep, Placeholder)),
+    Fragment.PD: ((And, Tensor), (PosVar, NegVar, Bottom, Top, Dep, Placeholder)),
+    Fragment.INQL: ((And, IDisj, Impl), (PosVar, Bottom, Top, Placeholder)),
+}
+
+
+def reference_fragment_check(phi, fragment):
+    """Whether every connective and atom of ``phi`` is admitted in
+    ``fragment``, by a walk that stops at the first that is not; the
+    reference for ``formulas.fragment_check``."""
+    nodes, atoms = _REFERENCE_ALLOWED[fragment]
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, Tensor, IDisj, Impl)):
+            if not isinstance(f, nodes):
+                return False
+            stack.append(f.left)
+            stack.append(f.right)
+        elif not isinstance(f, atoms):
+            return False
+    return True
+
+
+def reference_syntax_tree(phi):
+    """The occurrence tree of ``phi``, built afresh by a pre-order walk;
+    the reference for ``formulas.syntax_tree``."""
+    formulas, parents, depths, children = [], [], [], []
+    stack = [(phi, None, 0)]
+    while stack:
+        f, parent, depth = stack.pop()
+        my_id = len(formulas)
+        formulas.append(f)
+        parents.append(parent)
+        depths.append(depth)
+        children.append(())
+        if parent is not None:
+            children[parent] += (my_id,)
+        if isinstance(f, (And, Tensor, IDisj, Impl)):
+            stack.append((f.right, my_id, depth + 1))
+            stack.append((f.left, my_id, depth + 1))
+    return SyntaxTree(
+        tuple(map(TreeNode, range(len(formulas)), formulas, parents, children, depths))
+    )
 
 
 def reference_subformulas(phi):

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -24,6 +25,7 @@ from tsw.formulas import (
     is_context,
     max_placeholder,
     placeholder_indices,
+    scan_variables,
     subformulas,
     substitute,
     syntax_tree,
@@ -32,7 +34,14 @@ from tsw.formulas import (
 )
 from tsw.parsing import MAX_NESTING_DEPTH, parse
 
-from .helpers import recursion_headroom, reference_parse, st_formula
+from .helpers import (
+    recursion_headroom,
+    reference_fragment_check,
+    reference_parse,
+    reference_scan_variables,
+    reference_syntax_tree,
+    st_formula,
+)
 
 p, q, r = Variable("p"), Variable("q"), Variable("r")
 
@@ -390,6 +399,8 @@ def test_bottom_up_walks_do_not_recurse():
     unit = "(r1 + (p & !p))"
     context = parse(" & ".join([unit] * 5000))
     with recursion_headroom(50):
+        used, placeholders = scan_variables(context)
+        pd = fragment_check(context, Fragment.PD)
         size = fold(context, lambda f: 1, lambda f, a, b: a + b + 1)
         instance = substitute(context, [parse("q + !p")])
         subs = subformulas(context)
@@ -397,6 +408,7 @@ def test_bottom_up_walks_do_not_recurse():
         normal = normalize(context)
         alts = alternatives(instance, var_set(instance))
         report = check_basic_properties(instance)
+    assert (used, placeholders, pd) == ({p}, {1}, True)
     assert size == len(syntax_tree(context)) == 5000 * 5 + 4999
     assert to_text(instance) == " & ".join(["(q + !p + (p & !p))"] * 5000)
     # r1, p, !p, p & !p, the unit, then one prefix of each longer length
@@ -405,3 +417,65 @@ def test_bottom_up_walks_do_not_recurse():
     assert to_text(normal) == " & ".join(["r1"] * 5000)
     assert alts == [0b1101]
     assert report.ok
+
+
+def _assert_census_and_tree_match_the_references(phi):
+    used, placeholders = reference_scan_variables(phi)
+    tree = reference_syntax_tree(phi)
+    assert scan_variables(phi) == (used, placeholders), to_text(phi)
+    assert variables(phi) == tuple(sorted(used))
+    assert placeholder_indices(phi) == tuple(sorted(placeholders))
+    assert is_context(phi) == bool(placeholders)
+    assert max_placeholder(phi) == max(placeholders, default=0)
+    _, _, types = phi._census
+    assert len(types) == len(set(types)) and set(types) == {type(n.formula) for n in tree.nodes}
+    for fragment in Fragment:
+        assert fragment_check(phi, fragment) == reference_fragment_check(phi, fragment)
+    assert syntax_tree(phi) == tree
+
+
+def test_census_and_tree_match_their_references():
+    from tsw.definability import enumerate_contexts
+    from tsw.randgen import random_formula
+
+    pool = [parse(t) for t in ("r1", "r2", "bot", "top", "p", "!p", "=(p)")]
+    contexts = enumerate_contexts(pool, 7)
+    for phi in contexts:
+        _assert_census_and_tree_match_the_references(phi)
+    assert len(contexts) == 15_015
+    rng = random.Random(15)
+    fragments = list(Fragment)
+    for i in range(2000):
+        vs = [Variable(n) for n in "pqrs"[: rng.choice((3, 4))]]
+        phi = random_formula(rng, vs, fragment=fragments[i % 3])
+        _assert_census_and_tree_match_the_references(phi)
+
+
+def test_what_a_node_keeps_is_not_seen():
+    texts = ("bot", "r1 + (p & !p)", "=(p,q;r) | (p -> q)", "(r1 & =(p)) + r2")
+    for text in texts:
+        phi = parse(text)
+        before = (hash(phi), repr(phi), to_text(phi), pickle.dumps(phi))
+        tree = syntax_tree(phi)
+        scan_variables(phi)
+        for fragment in Fragment:
+            fragment_check(phi, fragment)
+        assert syntax_tree(phi) is tree
+        assert phi == parse(text) and parse(text) == phi
+        assert (hash(phi), repr(phi), to_text(phi), pickle.dumps(phi)) == before
+        again = pickle.loads(pickle.dumps(phi))
+        assert again == phi and hash(again) == hash(phi)
+        assert syntax_tree(again) is not tree and syntax_tree(again) == tree
+
+
+def test_node_alternatives_leave_the_context_census_alone():
+    from tsw.semantics import node_alternatives
+    from tsw.teams import Team, VarSet
+
+    context = parse("(r1 & p) + r2")
+    census = scan_variables(context)
+    team = Team(VarSet.of("p", "q", "s"), 0b10101010)  # the four rows with p
+    alts = node_alternatives(syntax_tree(context), [parse("q"), parse("=(s;q)")], team)
+    assert alts[0] == [team.mask]
+    assert scan_variables(context) == census == ({p}, {1, 2})
+    assert scan_variables(context)[0] is census[0]
