@@ -81,18 +81,16 @@ from .formulas import (
     variables,
 )
 from .semantics import (
-    _var_ones,
     alternatives,
     alternatives_within,
     entails,
-    equivalent,
     evaluate,
     join,
     largest_split,
     node_alternatives,
     var_set,
 )
-from .teams import Team, VarSet, check_team_cap, full_team, maximal_masks, team_masks
+from .teams import Team, VarSet, _var_ones, check_team_cap, full_team, maximal_masks, team_masks
 
 
 # --- Connectives ----------------------------------------------------------
@@ -193,14 +191,20 @@ VALIDATION_POOL: tuple[Formula, ...] = (
 
 
 def _pool_equivalent(a: Formula, b: Formula) -> bool:
+    """Whether ``a`` and ``b`` have the same alternatives on every vector of
+    pool instances, over their variables and ``p``, each placeholder read as
+    its instance's alternatives, taken once per call."""
+    vars = var_set(a).union(var_set(b)).union(VarSet((_P,)))
+    try:
+        check_team_cap(len(vars))
+    except CapExceededError:
+        return True  # beyond the hard cap no vector is verifiable
+    pool = [alternatives(f, vars) for f in VALIDATION_POOL]
     m = max(max_placeholder(a), max_placeholder(b))
-    for vector in itertools.product(VALIDATION_POOL, repeat=m):
-        try:
-            if not equivalent(substitute(a, vector), substitute(b, vector), force=True):
-                return False
-        except CapExceededError:
-            continue  # beyond the hard cap: this vector is unverifiable, skip
-    return True
+    return all(
+        set(alternatives(a, vars, vector)) == set(alternatives(b, vars, vector))
+        for vector in itertools.product(pool, repeat=m)
+    )
 
 
 def normalize(phi: Formula) -> Formula:

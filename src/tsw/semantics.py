@@ -42,10 +42,11 @@ the other's, and two formulas are equivalent when their alternatives
 coincide.  They keep their variable caps.  When the walk would exceed the
 budget, ``alternatives`` takes the maximal teams of the indicator engine
 instead, which builds, per subformula, a bitmask over all teams of the
-variable set at once, using lattice sweeps for the subteam quantifiers.
+variable set at once, using lattice sweeps for the subteam quantifiers
+(the tensor takes one subteam sweep per maximal team of its left side).
 Its cost is bounded by the caps, so every judgment within them gets an
-answer.  The two engines are checked against each other (and against a
-naive all-pairs tensor) in the test suite, and
+answer.  The two engines are checked against each other in the test
+suite, where the naive per-team tensor scan lives as a reference, and
 ``check_basic_properties`` runs both.
 """
 
@@ -75,7 +76,16 @@ from .formulas import (
     substituent,
     to_text,
 )
-from .teams import TEAM_ENUM_CAP, Team, TeamFamily, VarSet, full_team, maximal_masks
+from .teams import (
+    TEAM_ENUM_CAP,
+    Team,
+    TeamFamily,
+    VarSet,
+    _superset_or,
+    _var_ones,
+    full_team,
+    maximal_masks,
+)
 
 DEFAULT_CAP = 3
 
@@ -100,24 +110,6 @@ def _check_cap(n: int, force: bool, what: str) -> None:
         if n <= TEAM_ENUM_CAP:
             hint = f" (force raises it to the hard maximum of {TEAM_ENUM_CAP})"
         raise CapExceededError(f"{what} over {n} variables exceeds the cap of {cap}{hint}")
-
-
-# Pattern-space constants: for n variables there are 2^n valuation patterns.
-# _var_ones(n, i) has bit P set iff pattern P assigns 1 to variable i.
-_ones_cache: dict[tuple[int, int], int] = {}
-
-
-def _var_ones(n: int, i: int) -> int:
-    key = (n, i)
-    got = _ones_cache.get(key)
-    if got is None:
-        b = 1 << i
-        period = 2 * b
-        unit = ((1 << b) - 1) << b
-        reps = (1 << n) // period
-        got = unit * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
-        _ones_cache[key] = got
-    return got
 
 
 def _check_closed(used: AbstractSet[Variable], placeholders: AbstractSet[int], team: Team) -> None:
@@ -330,34 +322,27 @@ class _Walk:
 
 # --- Indicator engine ----------------------------------------------------
 #
-# For a variable set with npat = 2^n patterns there are 2^npat teams.  A
-# subformula's indicator is an int with bit m set iff the team with mask m
-# satisfies it.  Positions are team masks, so "bit j of a position" means
-# membership of valuation pattern j, and _var_ones(npat, j) holds the
-# positions that contain pattern j.  The subset/superset sweeps below are
-# lattice DPs over one membership bit at a time.
+# A subformula's indicator over npat = 2^n patterns has bit m set iff the
+# team with mask m satisfies it (``teams`` sets out the sweeps).  Every
+# indicator the fold builds is a down-set, which the tensor rule relies on.
 
 
-def _superset_or(ind: int, npat: int) -> int:
-    """Bit m of the result: some superset of team m has its bit set."""
+def _subset_or(ind: int, npat: int, patterns: int) -> int:
+    """Bit m of the result: some subteam of team m that keeps every pattern
+    of m outside the mask ``patterns`` has its bit set."""
     for j in range(npat):
-        ind |= (ind & _var_ones(npat, j)) >> (1 << j)
+        if patterns >> j & 1:
+            ind |= (ind << (1 << j)) & _var_ones(npat, j)
     return ind
 
 
-def _subset_or(ind: int, npat: int) -> int:
-    """Bit m of the result: some subteam of team m has its bit set."""
+def _maximal_members(ind: int, npat: int) -> list[int]:
+    """The maximal teams of the down-set ``ind``: no team one pattern
+    larger is in it."""
+    grown = 0
     for j in range(npat):
-        ind |= (ind << (1 << j)) & _var_ones(npat, j)
-    return ind
-
-
-def _strict_superset_or(ind: int, npat: int) -> int:
-    closure = _superset_or(ind, npat)
-    acc = 0
-    for j in range(npat):
-        acc |= (closure & _var_ones(npat, j)) >> (1 << j)
-    return acc
+        grown |= (ind & _var_ones(npat, j)) >> (1 << j)
+    return _bit_positions(ind & ~grown)
 
 
 def _down_set(masks, npat: int) -> int:
@@ -369,26 +354,17 @@ def _down_set(masks, npat: int) -> int:
 
 
 def _tensor_indicator(left: int, right: int, npat: int) -> int:
-    # Larger pattern spaces: when both operand truth sets are closed under
-    # subteams (verified here, cheaply), a team satisfies the tensor iff it
-    # is covered by the union of one maximal team per side.
-    if npat > 8 and _superset_or(left, npat) == left and _superset_or(right, npat) == right:
-        max_l = _bit_positions(left & ~_strict_superset_or(left, npat))
-        max_r = _bit_positions(right & ~_strict_superset_or(right, npat))
-        if len(max_l) * len(max_r) <= 4_000_000:
-            return _down_set((a | b for a in max_l for b in max_r), npat)
-    # The exact per-team scan: up to 3 variables, and the slow fallback
-    # beyond (only reachable behind force).
+    """The tensor of two down-sets: a team T splits into a left and a right
+    part iff T less some maximal left team m is a right team, and the teams
+    whose part outside m is a right team are the subteam sweep of the right
+    indicator over the patterns of m.  The tensor commutes, so the side
+    whose maximal teams hold fewer patterns in all plays the left."""
+    max_l, max_r = _maximal_members(left, npat), _maximal_members(right, npat)
+    if sum(map(int.bit_count, max_r)) < sum(map(int.bit_count, max_l)):
+        max_l, right = max_r, left
     out = 0
-    for m in range(1 << npat):
-        s = m
-        while True:
-            if (left >> s) & 1 and (right >> (m ^ s)) & 1:
-                out |= 1 << m
-                break
-            if s == 0:
-                break
-            s = (s - 1) & m
+    for m in max_l:
+        out |= _subset_or(right, npat, m)
     return out
 
 
@@ -438,6 +414,7 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
             f"indicator construction over {n} variables exceeds the hard maximum of {TEAM_ENUM_CAP}"
         )
     npat = 1 << n
+    full = (1 << npat) - 1
     all_teams = (1 << (1 << npat)) - 1
     index_of = {v: i for i, v in enumerate(vars)}
 
@@ -445,7 +422,7 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
         if isinstance(node, PosVar):
             return _down_set((_var_ones(n, index_of[node.var]),), npat)
         if isinstance(node, NegVar):
-            return _down_set((((1 << npat) - 1) ^ _var_ones(n, index_of[node.var]),), npat)
+            return _down_set((full ^ _var_ones(n, index_of[node.var]),), npat)
         if isinstance(node, Bottom):
             return 1
         if isinstance(node, Top):
@@ -460,7 +437,7 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
                         (u >> target_bit) & 1 != (w >> target_bit) & 1
                     ):
                         bad |= 1 << ((1 << u) | (1 << w))
-            return all_teams & ~_subset_or(bad, npat)
+            return all_teams & ~_subset_or(bad, npat, full)
         if isinstance(node, Placeholder):
             return _down_set(bound[node.index - 1], npat)
         raise InternalInvariantError(f"unknown node {node!r}")
@@ -473,7 +450,7 @@ def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] 
         if isinstance(node, Tensor):
             return _tensor_indicator(left, right, npat)
         bad = left & all_teams & ~right  # an implication
-        return all_teams & ~_subset_or(bad, npat)
+        return all_teams & ~_subset_or(bad, npat, full)
 
     return fold(phi, leaf, combine)
 
@@ -493,8 +470,7 @@ def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()
     try:
         return alternatives_within(phi, team, bound)
     except CapExceededError:
-        ind = _truth_indicator(phi, vars, bound)
-        return _bit_positions(ind & ~_strict_superset_or(ind, 1 << len(vars)))
+        return _maximal_members(_truth_indicator(phi, vars, bound), 1 << len(vars))
 
 
 def alternatives_within(phi: Formula, team: Team, bound: Sequence[Sequence[int]] = ()) -> list[int]:

@@ -5,6 +5,10 @@ bit ``i`` is the value on ``N[i]``.  A team is then a bitmask over the
 ``2^|N|`` possible patterns, bit ``pattern`` recording membership.  This
 gives order-independent equality, O(1) set algebra, and a canonical
 enumeration order (by cardinality, then by mask).
+
+A family is stored one level up as an *indicator*, bit ``m`` set iff the
+team with mask ``m`` is a member; the lattice sweeps over indicators live
+here, shared by family enumeration and the indicator engine of ``semantics``.
 """
 
 from __future__ import annotations
@@ -338,23 +342,23 @@ class TeamFamily:
 
 def is_downward_closed(family: TeamFamily) -> bool:
     """True iff the family contains the empty team and every subteam of
-    every member."""
-    if 0 not in family.masks:
-        return False
-    for m in family.masks:
-        s = m
-        while True:
-            if s not in family.masks:
+    every member: by induction on size, iff it is nonempty and each member
+    less any one of its valuations is a member too."""
+    masks = family.masks
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low not in masks:
                 return False
-            if s == 0:
-                break
-            s = (s - 1) & m
-    return True
+            rest ^= low
+    return 0 in masks
 
 
 def enumerate_downward_closed_families(vars: VarSet) -> Iterator[TeamFamily]:
     """All families over ``vars`` that contain the empty team and are closed
-    under subteams, in ascending order of their membership indicator."""
+    under subteams, in ascending order of their membership indicator: the
+    odd indicators that a superset sweep leaves unchanged."""
     if len(vars) > FAMILY_ENUM_CAP:
         raise CapExceededError(
             f"enumerating families over {len(vars)} variables exceeds the cap of "
@@ -362,21 +366,28 @@ def enumerate_downward_closed_families(vars: VarSet) -> Iterator[TeamFamily]:
         )
     npat = 1 << len(vars)
     nteams = 1 << npat
-    for indicator in range(1 << nteams):
-        if not indicator & 1:  # empty team missing
-            continue
-        member_masks = [m for m in range(nteams) if indicator >> m & 1]
-        ok = True
-        for m in member_masks:
-            s = m
-            while ok:
-                if not indicator >> s & 1:
-                    ok = False
-                    break
-                if s == 0:
-                    break
-                s = (s - 1) & m
-            if not ok:
-                break
-        if ok:
-            yield TeamFamily(vars, frozenset(member_masks))
+    for indicator in range(1, 1 << nteams, 2):
+        if _superset_or(indicator, npat) == indicator:
+            yield TeamFamily(vars, frozenset(m for m in range(nteams) if indicator >> m & 1))
+
+
+# --- Lattice sweeps ---------------------------------------------------------
+#
+# For n variables there are 2^n valuation patterns, and _var_ones(n, i) has
+# bit P set iff pattern P assigns 1 to variable i.  Over an indicator of
+# teams built on npat patterns, positions are team masks, so
+# _var_ones(npat, j) holds the teams that contain pattern j, and a sweep
+# moves membership along one pattern at a time.
+@lru_cache(maxsize=None)
+def _var_ones(n: int, i: int) -> int:
+    b = 1 << i
+    period = 2 * b
+    reps = (1 << n) // period
+    return (((1 << b) - 1) << b) * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+
+
+def _superset_or(ind: int, npat: int) -> int:
+    """Bit m of the result: some superset of team m has its bit set."""
+    for j in range(npat):
+        ind |= (ind & _var_ones(npat, j)) >> (1 << j)
+    return ind

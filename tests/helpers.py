@@ -1,20 +1,24 @@
 """Independent reference implementations used as test oracles.
 
-Everything here favours clarity over speed: no memoisation, no clever
-split enumeration, and no indicator bitboards outside the synthesis greedy,
-which judges by the indicator engine as the library once did.  The real
-engines must agree with these transcriptions on small inputs.
+Everything here favours clarity over speed: no clever split enumeration,
+no memoisation, and no indicator bitboards outside two uses of the
+indicator engine: the synthesis greedy judges by it as the library once
+did, and ``reference_truth_indicator`` runs it with every tensor taken by a
+per-team scan (each distinct one once).  The real engines must agree with
+these transcriptions on small inputs.
 """
 
 import contextlib
 import itertools
 import re
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from tsw.errors import ParseError
+from tsw import semantics
+from tsw.errors import CapExceededError, ParseError
 from tsw.formulas import (
     And,
     Bottom,
@@ -34,7 +38,7 @@ from tsw.formulas import (
 from tsw.expressiveness import theta_star
 from tsw.parsing import MAX_NESTING_DEPTH
 from tsw.semantics import _truth_indicator, evaluate
-from tsw.teams import Team, VarSet
+from tsw.teams import Team, TeamFamily, VarSet
 
 
 def subteams(team):
@@ -142,6 +146,86 @@ def reference_refute(phi, c):
             if lhs != rhs:
                 return Counterexample(phi, c, instances, vars, team, lhs, rhs)
     return None
+
+
+def reference_tensor_indicator(left, right, npat):
+    """The tensor of two indicators over ``npat`` patterns by a scan of every
+    subteam of every team: team m is in it iff some subteam s of m is a left
+    team and m less s a right team.  The reference for
+    ``semantics._tensor_indicator``."""
+    nteams = 1 << npat
+    # membership by position, read off the binary digits, lowest team first
+    in_left = format(left, f"0{nteams}b")[::-1]
+    in_right = format(right, f"0{nteams}b")[::-1]
+    out = 0
+    for m in range(nteams):
+        s = m
+        while True:
+            if in_left[s] == "1" and in_right[m ^ s] == "1":
+                out |= 1 << m
+                break
+            if s == 0:
+                break
+            s = (s - 1) & m
+    return out
+
+
+def reference_truth_indicator(phi, vars):
+    """``semantics._truth_indicator`` with every tensor taken by
+    ``reference_tensor_indicator`` (each distinct pair of sides once)."""
+    tensor = lru_cache(maxsize=None)(reference_tensor_indicator)
+    with mock.patch.object(semantics, "_tensor_indicator", tensor):
+        return semantics._truth_indicator(phi, vars)
+
+
+def reference_is_downward_closed(family):
+    """Whether the family holds every subteam of every member, the empty
+    team included, by a scan of all of them; the reference for
+    ``teams.is_downward_closed``."""
+    if 0 not in family.masks:
+        return False
+    for m in family.masks:
+        s = m
+        while True:
+            if s not in family.masks:
+                return False
+            if s == 0:
+                break
+            s = (s - 1) & m
+    return True
+
+
+def reference_downward_closed_families(vars):
+    """The families over ``vars`` that ``reference_is_downward_closed``
+    accepts, in ascending order of their membership indicator; the
+    reference for ``teams.enumerate_downward_closed_families``."""
+    nteams = 1 << (1 << len(vars))
+    for indicator in range(1 << nteams):
+        family = TeamFamily(vars, frozenset(m for m in range(nteams) if indicator >> m & 1))
+        if reference_is_downward_closed(family):
+            yield family
+
+
+def reference_pool_equivalent(a, b):
+    """Whether the instances of ``a`` and ``b`` are equivalent on every
+    vector of ``definability.VALIDATION_POOL``, each instance built by
+    substitution and compared by ``equivalent`` over its own variables; a
+    vector past the caps is skipped.  The reference for
+    ``definability._pool_equivalent``."""
+    from tsw.definability import VALIDATION_POOL
+    from tsw.formulas import max_placeholder
+    from tsw.semantics import equivalent
+
+    m = max(max_placeholder(a), max_placeholder(b))
+    for vector in itertools.product(VALIDATION_POOL, repeat=m):
+        try:
+            if not equivalent(
+                reference_substitute(a, vector), reference_substitute(b, vector), force=True
+            ):
+                return False
+        except CapExceededError:
+            continue
+    return True
 
 
 def reference_substitute(phi, theta):

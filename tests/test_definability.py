@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from .helpers import (
     context_texts_bruteforce,
     reference_is_consistent,
     reference_normalize,
+    reference_pool_equivalent,
     reference_refute,
     reference_search,
     reference_split,
@@ -151,6 +153,28 @@ def test_normalize_preserves_meaning():
         psi = normalize(phi)
         for x in enumerate_teams(P):
             assert evaluate(substitute(phi, inst), x) == evaluate(substitute(psi, inst), x)
+
+
+def test_pool_check_matches_the_substituting_reference():
+    # the pool check binds each pool instance's alternatives once; the
+    # reference substitutes every vector and compares by equivalent.  Half
+    # the pairs are a context and its normal form or its mirror image
+    from tsw.definability import _pool_equivalent
+    from tsw.formulas import fold
+
+    rng = random.Random(1713)
+    contexts = enumerate_contexts(POOL, 5) + enumerate_contexts(TWO_VAR_POOL, 4)
+    verdicts = set()
+    for i in range(400):
+        a, b = rng.choice(contexts), rng.choice(contexts)
+        if i % 4 == 1 and is_consistent(a):
+            b = normalize(a)
+        elif i % 4 == 3:  # both sides of every binary node swapped
+            b = fold(a, lambda f: f, lambda f, left, right: type(f)(right, left))
+        got = _pool_equivalent(a, b)
+        assert got == reference_pool_equivalent(a, b), (to_text(a), to_text(b))
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_normalize_rejects_inconsistent_input():

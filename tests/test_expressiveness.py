@@ -12,12 +12,13 @@ from tsw.expressiveness import (
     theta_star_alternatives,
     translate,
 )
-from tsw.formulas import Fragment, Variable, fragment_check, syntax_tree, to_text, variables
+from tsw.formulas import Fragment, Top, Variable, fragment_check, syntax_tree, to_text, variables
 from tsw.parsing import parse
 from tsw.semantics import equivalent, evaluate, node_alternatives, truth_set
 from tsw.teams import (
     Team,
     TeamFamily,
+    VarSet,
     enumerate_downward_closed_families,
     enumerate_teams,
     full_team,
@@ -100,6 +101,8 @@ def test_synth_pd_pins():
     assert truth_set(synth_pd(only_empty), P) == only_empty
     everything = TeamFamily(P, frozenset(t.mask for t in enumerate_teams(P)))
     assert to_text(synth_pd(everything)) == "top"
+    everything = TeamFamily(VarSet.of("p", "q", "r", "s"), frozenset(range(1 << 16)))
+    assert synth_pd(everything, force=True) == Top()
 
 
 def test_synth_inql_pins():

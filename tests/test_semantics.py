@@ -42,6 +42,7 @@ from .helpers import (
     PQ,
     naive_tensor_holds,
     reference_evaluate,
+    reference_truth_indicator,
     st_formula,
     st_team,
 )
@@ -325,6 +326,27 @@ def test_judgments_against_indicator():
             force = len(both) == 4
             assert entails(phi, psi, force=force) == (ind_phi & ~ind_psi == 0), (phi, psi)
             assert equivalent(phi, psi, force=force) == (ind_phi == ind_psi), (phi, psi)
+
+
+def test_indicator_tensor_matches_the_per_team_scan():
+    # the tensor of the lattice takes one subteam sweep per maximal left
+    # team; the reference scans every subteam of every team
+    rng = random.Random(1501)
+    pool = [Variable(n) for n in "pqrs"]
+    for nvars, rounds in ((2, 100), (3, 200), (4, 2)):
+        vs = pool[:nvars]
+        varset = VarSet(tuple(vs))
+        for _ in range(rounds):
+            chi = Tensor(random_formula(rng, vs, max_depth=2), random_formula(rng, vs, max_depth=2))
+            assert _truth_indicator(chi, varset) == reference_truth_indicator(chi, varset), chi
+    pqrs = VarSet.of("p", "q", "r", "s")
+    for text in (
+        "=(p,q,r;s) + =(p,q,s;r)",
+        "(=(p,q,r;s) | =(p,q,s;r)) + (=(p,r,s;q) | =(q,r,s;p))",
+        "(=(p,q,r;s) + =(p,q,r;s)) -> =(p,q,r;s) + =(p,q,r;s)",
+    ):
+        phi = parse(text)
+        assert _truth_indicator(phi, pqrs) == reference_truth_indicator(phi, pqrs), text
 
 
 def test_nested_implications_of_dependence_atoms_against_indicator():

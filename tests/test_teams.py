@@ -16,7 +16,15 @@ from tsw.teams import (
     is_downward_closed,
 )
 
-from .helpers import NO_VARS, P, PQ, downward_closed_family_masks, st_team
+from .helpers import (
+    NO_VARS,
+    P,
+    PQ,
+    downward_closed_family_masks,
+    reference_downward_closed_families,
+    reference_is_downward_closed,
+    st_team,
+)
 
 
 def test_varset_basics():
@@ -205,6 +213,48 @@ def test_downward_closure_predicate_pins():
     assert is_downward_closed(TeamFamily(P, frozenset({0})))
     assert not is_downward_closed(TeamFamily(P, frozenset({0b11})))
     assert is_downward_closed(TeamFamily(P, frozenset({0, 0b01, 0b10, 0b11})))
+
+
+def test_family_enumeration_matches_the_subteam_scan_in_order():
+    for vs in (NO_VARS, P, PQ):
+        assert list(enumerate_downward_closed_families(vs)) == list(
+            reference_downward_closed_families(vs)
+        )
+
+
+def test_downward_closure_matches_the_subteam_scan():
+    # down-sets of a few small random generators, each then kept, less one
+    # random member, or with one random team added; over six variables a
+    # family indicator would have 2^64 bits, so the check must do without
+    rng = random.Random(1709)
+    verdicts = set()
+    for vs in (NO_VARS, P, PQ, VarSet.of("p", "q", "r"), VarSet.of("a", "b", "c", "d", "e", "f")):
+        npat = 1 << len(vs)
+        for _ in range(80):
+            masks = {0}
+            for _ in range(rng.randint(0, 3)):
+                g = s = sum(1 << j for j in {rng.randrange(npat) for _ in range(rng.randint(1, 4))})
+                while s:
+                    masks.add(s)
+                    s = (s - 1) & g
+            edit = rng.randrange(3)
+            if edit == 1:
+                masks.discard(rng.choice(sorted(masks)))
+            elif edit == 2:
+                masks.add(rng.getrandbits(npat))
+            fam = TeamFamily(vs, frozenset(masks))
+            got = is_downward_closed(fam)
+            assert got == reference_is_downward_closed(fam), (vs, sorted(masks))
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_downward_closure_over_four_variables():
+    vs = VarSet.of("p", "q", "r", "s")
+    everything = frozenset(range(1 << 16))
+    assert is_downward_closed(TeamFamily(vs, everything))
+    for hole in (0b1, 0b0110, (1 << 16) - 2):  # nonempty and not maximal
+        assert not is_downward_closed(TeamFamily(vs, everything - {hole}))
 
 
 def test_sort_key_orders_by_size_then_mask():
