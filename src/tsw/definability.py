@@ -17,7 +17,8 @@ existence of such an assignment rooted at the given team, which is what
 lets global facts about a context be read off its leaves.  Truth
 functions and their verification are bit tests on the alternatives of
 every node (``semantics.node_alternatives``), and every ``+`` split is
-``semantics.largest_split``.
+``semantics.largest_split``.  A truth function found here keeps one team
+mask per node; its ``assignment`` builds each ``Team`` when read.
 
 A connective is the PT0 context it abbreviates (``ConnectiveSpec.context``:
 ``r1 | r2``, ``r1 -> r2``, or ``bot`` for ``contra``).  Both sides of a
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
@@ -57,6 +59,8 @@ from typing import Callable, Optional, Sequence
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .expressiveness import theta_star, theta_star_alternatives
 from .formulas import (
+    K_AND,
+    K_TENSOR,
     And,
     Bottom,
     Dep,
@@ -81,6 +85,7 @@ from .formulas import (
     variables,
 )
 from .semantics import (
+    _node_alternatives,
     alternatives,
     alternatives_within,
     entails,
@@ -216,18 +221,22 @@ def normalize(phi: Formula) -> Formula:
     Every rewrite preserves satisfaction on every team for every
     instantiation, because an inconsistent side of a tensor only ever
     contributes the empty team to a split.  The output is double-checked:
-    every subformula must be consistent, and the output must agree with the
-    input on a fixed pool of substituents.
+    every subformula must be consistent, and an output other than the input
+    must agree with it on a fixed pool of substituents.
     """
     singletons = _singletons(phi)
 
     def rebuild(f: Formula, left: tuple, right: tuple) -> tuple[Formula, int]:
         (a, a_ones), (b, b_ones) = left, right
         if type(f) is And:
-            return And(a, b), a_ones & b_ones
-        if a_ones and b_ones:
-            return Tensor(a, b), a_ones | b_ones
-        return left if a_ones else right
+            ones = a_ones & b_ones
+        elif a_ones and b_ones:
+            ones = a_ones | b_ones
+        else:
+            return left if a_ones else right
+        # a node whose sides come back unchanged is kept, so an unchanged
+        # context comes back as the very same object
+        return (f if a is f.left and b is f.right else type(f)(a, b)), ones
 
     result, ones = fold(phi, lambda f: (f, singletons(f)), rebuild)
     if not ones:
@@ -235,7 +244,7 @@ def normalize(phi: Formula) -> Formula:
     # an inconsistent subformula makes every node above it read 0
     if not fold(result, singletons, lambda f, a, b: a and b and _meet(f, a, b)):
         raise InternalInvariantError("normalization left an inconsistent subformula")
-    if not _pool_equivalent(phi, result):
+    if result is not phi and not _pool_equivalent(phi, result):
         raise InternalInvariantError("normalization changed the context on the instance pool")
     return result
 
@@ -263,12 +272,41 @@ def check_monotone(
 # --- Truth functions ------------------------------------------------------
 
 
+class _Teams(Mapping):
+    """Node id -> team, each ``Team`` built on read from the masks kept by
+    node id, all over ``vars``."""
+
+    __slots__ = ("vars", "masks")
+
+    def __init__(self, vars: VarSet, masks: list[int]):
+        self.vars = vars
+        self.masks = masks
+
+    def __getitem__(self, node_id: int) -> Team:
+        if node_id not in self:
+            raise KeyError(node_id)
+        return Team(self.vars, self.masks[node_id])
+
+    def __contains__(self, node_id) -> bool:
+        return isinstance(node_id, int) and 0 <= node_id < len(self.masks)
+
+    def __iter__(self):
+        return iter(range(len(self.masks)))
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class TruthFunction:
-    """A team per node of a context's syntax tree."""
+    """A team per node of a context's syntax tree: ``assignment`` maps each
+    node id to its ``Team``."""
 
     tree: SyntaxTree
-    assignment: dict[int, Team]
+    assignment: Mapping[int, Team]
 
     def team(self, node_id: int) -> Team:
         return self.assignment[node_id]
@@ -305,34 +343,49 @@ def verify_truth_function(
         n.formula for n in tree.nodes
     ):
         raise ValidationError("the truth function's tree does not match the context")
-    missing = [n.id for n in tree.nodes if n.id not in tau.assignment]
-    if missing:
-        raise ValidationError(f"assignment missing nodes {missing}")
-    vars = tau.assignment[tree.root].vars
-    for node_id, team in tau.assignment.items():
-        if team.vars != vars:
-            raise ValidationError(f"node {node_id} team is over a different variable set")
-    # Alternatives within the root team, recomputed here.  Nodes are
-    # checked in pre-order, each after its parent has checked that it lies
-    # inside the parent's team, so every team tested lies inside the root's.
-    alts = node_alternatives(tree, theta, tau.assignment[tree.root])
-    masks = {node_id: team.mask for node_id, team in tau.assignment.items()}
+    vars, masks = _masks(tau.assignment, tree)
+    # Alternatives within the root team, recomputed here; every team that
+    # lies inside one of its node's alternatives lies inside the root's.
+    alts = _node_alternatives(tree, theta, vars, masks[tree.root])
+    plan = tree.plan
     for node in tree.nodes:
-        T = masks[node.id]
-        if not any(T & ~a == 0 for a in alts[node.id]):
+        i = node.id
+        T = masks[i]
+        for a in alts[i]:
+            if T & ~a == 0:
+                break
+        else:
             return False
-        if isinstance(node.formula, And):
+        k = plan[i]
+        if k == K_AND:
             y, z = node.children
             if masks[y] != T or masks[z] != T:
                 return False
-        elif isinstance(node.formula, Tensor):
+        elif k == K_TENSOR:
             y, z = node.children
             if masks[y] | masks[z] != T:
                 return False
-        for child in node.children:
-            if masks[child] & ~T:
-                return False
+        else:  # under "&" and "+" the checks above keep children inside
+            for child in node.children:
+                if masks[child] & ~T:
+                    return False
     return True
+
+
+def _masks(assignment: Mapping[int, Team], tree: SyntaxTree) -> tuple[VarSet, list[int]]:
+    """The variable set of an assignment and the mask of each node of
+    ``tree`` by id: read off a ``_Teams`` as found, and checked for missing
+    nodes and mixed variable sets in any other mapping."""
+    if type(assignment) is _Teams and len(assignment) >= len(tree.nodes):
+        return assignment.vars, assignment.masks
+    missing = [n.id for n in tree.nodes if n.id not in assignment]
+    if missing:
+        raise ValidationError(f"assignment missing nodes {missing}")
+    vars = assignment[tree.root].vars
+    for node_id, team in assignment.items():
+        if team.vars != vars:
+            raise ValidationError(f"node {node_id} team is over a different variable set")
+    return vars, [assignment[n.id].mask for n in tree.nodes]
 
 
 def find_truth_function(
@@ -349,31 +402,32 @@ def find_truth_function(
     alts = node_alternatives(tree, theta, X)
     if X.mask not in alts[tree.root]:
         return None
-    return TruthFunction(tree, _descend(tree, alts, X))
+    return TruthFunction(tree, _Teams(X.vars, _descend(tree, alts, X)))
 
 
 def _descend(
     tree: SyntaxTree, alts: list[list[int]], X: Team, special: frozenset[int] = frozenset()
-) -> dict[int, Team]:
-    """Teams for every node, from ``X`` at the root down, given the node
-    alternatives within ``X``: ``&`` nodes hand their team to both
+) -> list[int]:
+    """The team mask of every node by id, from ``X`` at the root down, given
+    the node alternatives within ``X``: ``&`` nodes hand their team to both
     children, ``+`` nodes split it by ``largest_split``.  At the
     ``special`` nodes, which must receive ``X``, an empty right side is
     replaced by the first singleton satisfying its child and the split is
     made proper.  The left side is never empty there: the left child is
     consistent, so a singleton satisfies it, and the split keeps the
     largest left side."""
-    masks: dict[int, int] = {}
-    stack = [(tree.root, X.mask)]
-    while stack:
-        node_id, T = stack.pop()
-        masks[node_id] = T
-        node = tree.node(node_id)
-        if not node.children:
+    masks = [0] * len(tree.nodes)
+    masks[tree.root] = X.mask
+    plan = tree.plan
+    for node in tree.nodes:  # pre-order: each parent before its children
+        node_id = node.id
+        k = plan[node_id]
+        if k < K_AND:
             continue
+        T = masks[node_id]
         y, z = node.children
-        if isinstance(node.formula, And):
-            stack += ((z, T), (y, T))
+        if k == K_AND:
+            masks[y] = masks[z] = T
             continue
         left = largest_split(T, alts[y], alts[z])
         if left is None:
@@ -389,8 +443,8 @@ def _descend(
                     raise InternalInvariantError("no singleton satisfier for a consistent formula")
             sides = proper_split(X, Team(X.vars, left), Team(X.vars, right))
             left, right = sides[0].mask, sides[1].mask
-        stack += ((z, right), (y, left))
-    return {node_id: Team(X.vars, T) for node_id, T in masks.items()}
+        masks[y], masks[z] = left, right
+    return masks
 
 
 def complete_from_leaves(
@@ -508,13 +562,12 @@ def build_reduced_truth_function(phi: Formula, N: VarSet) -> TruthFunction:
         next(a.id for a in reversed(tree.ancestors(leaf.id)) if isinstance(a.formula, Tensor))
         for leaf in tree.placeholder_leaves()
     )
-    assignment = _descend(tree, alts, X, special)
-    tau = TruthFunction(tree, assignment)
+    masks = _descend(tree, alts, X, special)
+    tau = TruthFunction(tree, _Teams(X.vars, masks))
     if not verify_truth_function(tau, phi, theta):
         raise InternalInvariantError("reduced construction failed verification")
     for leaf in tree.placeholder_leaves():
-        team = assignment[leaf.id]
-        if team == X:
+        if masks[leaf.id] == X.mask:
             raise InternalInvariantError("a placeholder leaf kept the full team")
     return tau
 
@@ -564,8 +617,14 @@ def _battery_names(c: ConnectiveSpec) -> list[tuple[str, ...]]:
     raise ValidationError(f"no instance battery for connective {c.name!r}")
 
 
+@lru_cache(maxsize=64)
+def _full_theta(vars: VarSet) -> Formula:
+    """θ* of the full team over ``vars``: the battery's θ instance."""
+    return theta_star(full_team(vars))
+
+
 def _battery(c: ConnectiveSpec, nprime: VarSet) -> list[tuple[Formula, ...]]:
-    formula = {"bot": Bottom(), "top": Top(), "theta": theta_star(full_team(nprime))}
+    formula = {"bot": Bottom(), "top": Top(), "theta": _full_theta(nprime)}
     return [tuple(formula[n] for n in names) for names in _battery_names(c)]
 
 
@@ -662,9 +721,10 @@ def verify_counterexample(ce: Counterexample) -> bool:
     within = {"bot": [0], "top": [X]}
     names = [_instance_name(f) for f in ce.instances]
     if "theta" in names:
-        full = full_team(ce.team.vars)
-        if any(n == "theta" and f != theta_star(full) for n, f in zip(names, ce.instances)):
+        theta = _full_theta(ce.team.vars)
+        if any(n == "theta" and f != theta for n, f in zip(names, ce.instances)):
             raise ValidationError("each instance must be bot, top or θ* of the full team")
+        full = full_team(ce.team.vars)
         within["theta"] = maximal_masks([a & X for a in theta_star_alternatives(full)])
     bound = [within[n] for n in names]
     lhs = X in alternatives_within(ce.context, ce.team, bound)

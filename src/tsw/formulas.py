@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -78,14 +78,28 @@ class _Kept:
 
 class _Node:
     """The base of the formula node classes, which keep their census and
-    syntax tree (see the module docstring).  Pickling, like the generated
-    ``==``, ``hash`` and ``repr``, reads the fields alone."""
+    syntax tree (see the module docstring).  Both live in one attribute,
+    ``_kept``, a pair whose tree is None until first asked for: on CPython
+    3.11 a node has room for one value beyond its fields, and a second
+    attribute would cost it a ``__dict__`` (about 270 B).  Pickling, like
+    the generated ``==``, ``hash`` and ``repr``, reads the fields alone."""
 
-    _census = _Kept(lambda node: _take_census(node))
-    _tree = _Kept(lambda node: _build_tree(node))
+    _kept = _Kept(lambda node: (_take_census(node), None))
+
+    @property
+    def _census(self) -> "Census":
+        return self._kept[0]
+
+    @property
+    def _tree(self) -> "SyntaxTree":
+        census, tree = self._kept
+        if tree is None:
+            tree = _build_tree(self)
+            object.__setattr__(self, "_kept", (census, tree))
+        return tree
 
     def __getstate__(self):
-        state = {k: v for k, v in self.__dict__.items() if k not in ("_census", "_tree")}
+        state = {k: v for k, v in self.__dict__.items() if k != "_kept"}
         return state or None
 
 
@@ -160,6 +174,11 @@ Formula = Union[Atom, And, Tensor, IDisj, Impl]
 BINARY_NODES = (And, Tensor, IDisj, Impl)
 ATOM_NODES = (PosVar, NegVar, Bottom, Top, Dep, Placeholder)
 
+# The kind code of each node type, as a syntax tree's plan records it:
+# atoms first, so every code from K_AND up is a connective.
+K_POS, K_NEG, K_BOT, K_TOP, K_DEP, K_HOLE, K_AND, K_TENSOR, K_IDISJ, K_IMPL = range(10)
+KIND = dict(zip(ATOM_NODES + BINARY_NODES, range(10)))
+
 
 def is_atom(phi: Formula) -> bool:
     return isinstance(phi, ATOM_NODES)
@@ -182,7 +201,7 @@ _ALLOWED = {
 
 def fragment_check(phi: Formula, fragment: Fragment) -> bool:
     """True iff every connective and atom of ``phi`` is admitted in ``fragment``."""
-    _, _, types = phi._census
+    _, _, types = phi._kept[0]
     return _ALLOWED[fragment].issuperset(types)
 
 
@@ -309,29 +328,29 @@ def _take_census(phi: Formula) -> Census:
 def scan_variables(phi: Formula) -> tuple[frozenset[Variable], frozenset[int]]:
     """The variables occurring in ``phi`` and the indices of its
     placeholders, from its census."""
-    used, placeholders, _ = phi._census
+    used, placeholders, _ = phi._kept[0]
     return used, placeholders
 
 
 def variables(phi: Formula) -> tuple[Variable, ...]:
     """Variables occurring in ``phi``, sorted by name."""
-    used, _, _ = phi._census
+    used, _, _ = phi._kept[0]
     return tuple(sorted(used))
 
 
 def placeholder_indices(phi: Formula) -> tuple[int, ...]:
-    _, placeholders, _ = phi._census
+    _, placeholders, _ = phi._kept[0]
     return tuple(sorted(placeholders))
 
 
 def is_context(phi: Formula) -> bool:
     """True iff ``phi`` contains at least one placeholder."""
-    _, placeholders, _ = phi._census
+    _, placeholders, _ = phi._kept[0]
     return bool(placeholders)
 
 
 def max_placeholder(phi: Formula) -> int:
-    _, placeholders, _ = phi._census
+    _, placeholders, _ = phi._kept[0]
     return max(placeholders, default=0)
 
 
@@ -373,11 +392,17 @@ class SyntaxTree:
     """Node-identified full binary tree of a formula.
 
     Node ids are assigned in pre-order, so the root is node 0.  Distinct
-    occurrences of one subformula get distinct ids.
+    occurrences of one subformula get distinct ids.  ``plan`` holds the
+    kind code (``KIND``) of each node by id, one byte each: walks read it in
+    reverse, children before parents, instead of testing node types.
     """
 
     nodes: tuple[TreeNode, ...]
     root: int = 0
+    plan: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", bytes([KIND[type(n.formula)] for n in self.nodes]))
 
     def __len__(self) -> int:
         return len(self.nodes)

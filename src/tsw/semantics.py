@@ -20,12 +20,20 @@ subteams, and these antichains compose clause by clause.  For
 ``evaluate`` (and so ``valid``), one iterative walk decides the root on X
 itself, passing through ``&`` and ``|``; each ``+`` or ``->`` on that
 path takes the alternatives of its two children (within X) and compares
-them, so no subteam of X is ever enumerated.  ``node_alternatives``
-gives the alternatives within X of every node of an instantiated context,
-from one walk, for the truth functions of ``definability``;
-``largest_split`` is the one split rule for ``+``.  Antichains can blow
-up, so a walk that would form more than ``ALTERNATIVES_BUDGET`` candidate
-alternatives raises ``CapExceededError`` instead.
+them, so no subteam of X is ever enumerated.  ``largest_split`` is the
+one split rule for ``+``.  Antichains can blow up, so a walk that would
+form more than ``ALTERNATIVES_BUDGET`` candidate alternatives raises
+``CapExceededError`` instead.
+
+Two drivers take alternatives bottom-up, and whether the formula has
+placeholders picks between them.  A placeholder-free formula, fresh on
+most calls, is folded (``formulas.fold``), which builds nothing to keep.
+A context is walked by ``_run_plan``: one loop over the plan of its syntax
+tree (a kind byte per node), which the context keeps for its next walk;
+leaves and ``&``/``+`` of single alternatives are read inline, and every
+node's alternatives are kept.  ``node_alternatives`` gives those of every
+node of an instantiated context within X, for the truth functions of
+``definability``.
 
 ``alternatives`` gives the alternatives of a formula on the full team over
 a variable set, ``alternatives_within`` those within any team, and ``join``
@@ -58,6 +66,14 @@ from typing import AbstractSet, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
+    BINARY_NODES,
+    K_AND,
+    K_BOT,
+    K_HOLE,
+    K_NEG,
+    K_POS,
+    K_TENSOR,
+    K_TOP,
     And,
     Bottom,
     Dep,
@@ -74,6 +90,7 @@ from .formulas import (
     fold,
     scan_variables,
     substituent,
+    syntax_tree,
     to_text,
 )
 from .teams import (
@@ -81,6 +98,7 @@ from .teams import (
     Team,
     TeamFamily,
     VarSet,
+    _guard_width,
     _superset_or,
     _var_ones,
     full_team,
@@ -112,11 +130,13 @@ def _check_cap(n: int, force: bool, what: str) -> None:
         raise CapExceededError(f"{what} over {n} variables exceeds the cap of {cap}{hint}")
 
 
-def _check_closed(used: AbstractSet[Variable], placeholders: AbstractSet[int], team: Team) -> None:
+def _check_closed(
+    used: AbstractSet[Variable], placeholders: AbstractSet[int], vars: VarSet
+) -> None:
     if placeholders:
         raise ValidationError("cannot evaluate a context; substitute its placeholders first")
-    missing = sorted(v.name for v in used if v not in team.vars)
-    if missing:
+    if not used <= vars._table[0]:
+        missing = sorted(v.name for v in used if v not in vars)
         raise ValidationError(f"free variables outside the team's variable set: {missing}")
 
 
@@ -127,8 +147,8 @@ def evaluate(phi: Formula, team: Team) -> bool:
     Raises ``CapExceededError`` when deciding needs more than
     ``ALTERNATIVES_BUDGET`` candidate alternatives."""
     used, placeholders = scan_variables(phi)
-    _check_closed(used, placeholders, team)
-    return _Walk(team, used).verdict(phi)
+    _check_closed(used, placeholders, team.vars)
+    return _Walk(team.vars, team.mask).verdict(phi)
 
 
 def node_alternatives(
@@ -138,27 +158,28 @@ def node_alternatives(
     with placeholder ``r<i>`` read as ``theta[i-1]``: a subteam T satisfies
     the node when ``T & ~a == 0`` for one of them.  The instance is checked
     as ``evaluate`` checks it, and the whole tree shares one budget."""
-    used = scan_variables(tree.nodes[tree.root].formula)[0]
-    insts: dict[int, Formula] = {}
+    return _node_alternatives(tree, theta, team.vars, team.mask)
+
+
+def _node_alternatives(
+    tree: SyntaxTree, theta: Sequence[Formula], vars: VarSet, X: int
+) -> list[list[int]]:
+    """``node_alternatives`` within the team with mask ``X`` over ``vars``."""
+    used, holes = scan_variables(tree.nodes[tree.root].formula)
+    if holes and max(holes) > len(theta):
+        for node in tree.nodes:  # pre-order: the first missing one substitute meets
+            if type(node.formula) is Placeholder:
+                substituent(theta, node.formula.index)
+    insts = {i: theta[i - 1] for i in holes}
     placeholders: set[int] = set()
-    for node in tree.nodes:  # pre-order, as substitute meets the leaves
-        f = node.formula
-        if type(f) is Placeholder and f.index not in insts:
-            inst = insts[f.index] = substituent(theta, f.index)
-            vs, ph = scan_variables(inst)
-            used |= vs  # a new set: the census it came from is frozen
-            placeholders |= ph
-    _check_closed(used, placeholders, team)
-    walk = _Walk(team, used)
+    for inst in insts.values():
+        vs, ph = scan_variables(inst)
+        used |= vs  # a new set: the census it came from is frozen
+        placeholders |= ph
+    _check_closed(used, placeholders, vars)
+    walk = _Walk(vars, X)
     walk.bound = {i: walk.alternatives(f) for i, f in insts.items()}
-    alts: list[list[int]] = [[]] * len(tree.nodes)
-    for node in reversed(tree.nodes):  # ids are pre-order: children come later
-        if node.children:
-            y, z = node.children
-            alts[node.id] = walk.combine(node.formula, alts[y], alts[z])
-        else:
-            alts[node.id] = walk.atom_alternatives(node.formula)
-    return alts
+    return _run_plan(walk, tree)
 
 
 def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
@@ -196,11 +217,10 @@ class _Walk:
 
     __slots__ = ("X", "ones", "spent", "bound")
 
-    def __init__(self, team: Team, used: AbstractSet[Variable]):
-        names = team.vars.names()
-        self.X = team.mask
-        # name of each variable the formula uses -> the patterns setting it to 1
-        self.ones = {v.name: _var_ones(len(names), names.index(v.name)) for v in used}
+    def __init__(self, vars: VarSet, X: int):
+        self.X = X
+        # name of each variable -> the patterns setting it to 1
+        self.ones = vars._table[1]
         self.spent = 0
         self.bound: dict[int, list[int]] = {}
 
@@ -255,6 +275,8 @@ class _Walk:
                 return val
 
     def alternatives(self, phi: Formula) -> list[int]:
+        if type(phi) not in BINARY_NODES:
+            return self.atom_alternatives(phi)
         return fold(phi, self.atom_alternatives, self.combine)
 
     def combine(self, node: Formula, left: list[int], right: list[int]) -> list[int]:
@@ -318,6 +340,41 @@ class _Walk:
             self.charge(len(cands) * len(choices))
             cands = join(And, cands, choices)
         return cands
+
+
+def _run_plan(walk: _Walk, tree: SyntaxTree) -> list[list[int]]:
+    """By node id, the alternatives within the walk's team of every node of
+    ``tree``, placeholders read from ``walk.bound``: one pass over the
+    tree's plan, children before parents.  Leaves are read inline, and an
+    ``&`` or ``+`` of two single alternatives is one ``&`` or ``|``, charged
+    as ``combine`` charges it; every other node goes through ``combine``."""
+    X, ones, bound = walk.X, walk.ones, walk.bound
+    nodes, plan = tree.nodes, tree.plan
+    alts: list = [None] * len(plan)
+    for i in range(len(plan) - 1, -1, -1):
+        k = plan[i]
+        if k >= K_AND:
+            node = nodes[i]
+            y, z = node.children
+            left, right = alts[y], alts[z]
+            if k <= K_TENSOR and len(left) == 1 and len(right) == 1:
+                walk.charge(1)
+                alts[i] = [left[0] & right[0]] if k == K_AND else [left[0] | right[0]]
+            else:
+                alts[i] = walk.combine(node.formula, left, right)
+        elif k == K_HOLE:
+            alts[i] = bound[nodes[i].formula.index]
+        elif k == K_POS:
+            alts[i] = [X & ones[nodes[i].formula.var.name]]
+        elif k == K_NEG:
+            alts[i] = [X & ~ones[nodes[i].formula.var.name]]
+        elif k == K_TOP:
+            alts[i] = [X]
+        elif k == K_BOT:
+            alts[i] = [0]
+        else:
+            alts[i] = walk.dep_alternatives(nodes[i].formula)
+    return alts
 
 
 # --- Indicator engine ----------------------------------------------------
@@ -399,9 +456,10 @@ def _closed_variables(
     cover its placeholders, and ``vars`` its variables."""
     if placeholders and max(placeholders) > len(bound):
         raise ValidationError("cannot take the truth set of a context")
-    for v in sorted(used):
-        if v not in vars:
-            raise ValidationError(f"variable {v.name!r} of the formula is outside the given set")
+    if not used <= vars._table[0]:
+        for v in sorted(used):
+            if v not in vars:
+                raise ValidationError(f"variable {v.name!r} of the formula is outside the given set")
 
 
 def _truth_indicator(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()) -> int:
@@ -466,9 +524,9 @@ def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()
     the formula's variables.  Past ``ALTERNATIVES_BUDGET``, the maximal teams
     of the indicator engine, which reads the placeholders the same way, at a
     cost bounded by the hard variable cap."""
-    team = full_team(vars)
+    _guard_width(vars)
     try:
-        return alternatives_within(phi, team, bound)
+        return _alternatives_within(phi, vars, (1 << (1 << len(vars))) - 1, bound)
     except CapExceededError:
         return _maximal_members(_truth_indicator(phi, vars, bound), 1 << len(vars))
 
@@ -476,12 +534,23 @@ def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()
 def alternatives_within(phi: Formula, team: Team, bound: Sequence[Sequence[int]] = ()) -> list[int]:
     """The alternatives of ``phi`` within ``team`` from one walk, placeholder
     ``r<i>`` read as the antichain ``bound[i-1]``: ``team`` satisfies ``phi``
-    iff it is one of them.  Past ``ALTERNATIVES_BUDGET``, CapExceededError."""
+    iff it is one of them.  Past ``ALTERNATIVES_BUDGET``, CapExceededError.
+    A context walks the plan of its syntax tree, kept on it for the next
+    call; a placeholder-free formula, fresh on most calls, is folded."""
+    return _alternatives_within(phi, team.vars, team.mask, bound)
+
+
+def _alternatives_within(
+    phi: Formula, vars: VarSet, X: int, bound: Sequence[Sequence[int]]
+) -> list[int]:
     used, placeholders = scan_variables(phi)
-    _closed_variables(used, placeholders, team.vars, bound)
-    walk = _Walk(team, used)
+    _closed_variables(used, placeholders, vars, bound)
+    walk = _Walk(vars, X)
+    if not placeholders:
+        return walk.alternatives(phi)
     walk.bound = {i: list(bound[i - 1]) for i in placeholders}
-    return walk.alternatives(phi)
+    tree = syntax_tree(phi)
+    return _run_plan(walk, tree)[tree.root]
 
 
 def truth_set(phi: Formula, vars: Optional[VarSet] = None, *, force: bool = False) -> TeamFamily:

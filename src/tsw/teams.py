@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Variable
+from .formulas import Variable, _Kept
 
 # Teams are double-exponential objects; beyond this many variables even a
 # single full team mask is unreasonably large.
@@ -47,9 +47,17 @@ class VarSet:
 
     vars: tuple[Variable, ...]
 
+    # What a walk over teams on these variables reads (``_walk_table``),
+    # found on first use.  Pickling, like ``==`` and ``hash``, reads the
+    # field alone.
+    _table = _Kept(lambda vs: _walk_table(vs.vars))
+
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ValidationError("duplicate variables in variable set")
+
+    def __getstate__(self):
+        return {"vars": self.vars}
 
     @classmethod
     def of(cls, *names: str) -> "VarSet":
@@ -86,6 +94,28 @@ class VarSet:
 
     def __contains__(self, var: Variable) -> bool:
         return var in self.vars
+
+
+@lru_cache(maxsize=64)
+def _walk_table(vars: tuple[Variable, ...]) -> tuple[frozenset[Variable], "_PatternOnes"]:
+    """The variables as a set and ``_PatternOnes``, one pair shared by
+    equal variable sets: a team held for later keeps only a reference."""
+    return frozenset(vars), _PatternOnes([v.name for v in vars])
+
+
+class _PatternOnes(dict):
+    """By variable name, the patterns of a variable set that set the
+    variable to 1, each built on its first read."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, names: list[str]):
+        super().__init__()
+        self.positions = {name: i for i, name in enumerate(names)}
+
+    def __missing__(self, name: str) -> int:
+        value = self[name] = _var_ones(len(self.positions), self.positions[name])
+        return value
 
 
 @dataclass(frozen=True)
@@ -266,6 +296,14 @@ def maximal_masks(masks: list[int]) -> list[int]:
     if len(masks) < 2:
         return masks
     kept: list[int] = []
+    if len(masks) <= 8:  # few enough to test each against the kept ones
+        for t in sorted(set(masks), key=int.bit_count, reverse=True):
+            for k in kept:
+                if t & ~k == 0:
+                    break
+            else:
+                kept.append(t)
+        return kept
     # pattern bit -> bitset over the indices of the kept masks that hold it,
     # so "inside some kept mask" is one AND per member
     holders: dict[int, int] = {}

@@ -177,6 +177,31 @@ def test_pool_check_matches_the_substituting_reference():
     assert verdicts == {True, False}
 
 
+def test_normalize_checks_the_pool_only_on_a_changed_context(monkeypatch):
+    import tsw.definability as definability
+    from tsw.errors import InternalInvariantError
+
+    calls = []
+
+    def refuse(a, b):
+        calls.append((a, b))
+        return False
+
+    monkeypatch.setattr(definability, "_pool_equivalent", refuse)
+    unchanged = parse("(r1 & p) + (r2 + =(p))")
+    assert normalize(unchanged) is unchanged
+    assert calls == []
+    with pytest.raises(InternalInvariantError, match="changed the context"):
+        normalize(parse("(bot & r1) + (r2 & p)"))
+    assert [to_text(b) for _, b in calls] == ["r2 & p"]
+
+
+def test_normalize_keeps_a_long_unchanged_chain():
+    # returning the input itself, not an equal copy, needs no deep "=="
+    chain = parse(" & ".join(["(r1 + p)"] * 3000))
+    assert normalize(chain) is chain
+
+
 def test_normalize_rejects_inconsistent_input():
     with pytest.raises(ValidationError):
         normalize(parse("bot & r1"))
@@ -451,6 +476,45 @@ def test_verify_truth_function_rejects_tampering():
     assert not verify_truth_function(replace(tf, assignment=shrunk), phi, theta)
     with pytest.raises(ValidationError):
         verify_truth_function(tf, parse("r1 & r2"), theta)
+
+
+def test_truth_function_assignment_reads_as_a_mapping_of_teams():
+    phi = parse("(r1 & p) + r2")
+    theta = (parse("q + !q"), parse("!p"))
+    X = full_team(PQ)
+    tf = find_truth_function(phi, theta, X)
+    teams = dict(tf.assignment)
+    assert sorted(teams) == list(range(len(syntax_tree(phi))))
+    assert all(type(t) is Team and t.vars == PQ for t in teams.values())
+    assert dict(tf.assignment.items()) == teams and tf.assignment == teams
+    assert len(tf.assignment) == 5 and 4 in tf.assignment
+    assert 5 not in tf.assignment and -1 not in tf.assignment and "0" not in tf.assignment
+    with pytest.raises(KeyError):
+        tf.assignment[5]
+    assert tf.root_team == X and tf.team(1) == teams[1]
+    assert tf.to_json()["nodes"][0]["team"] == X.rows()
+    # the same truth function as a plain dict verifies and prints the same
+    plain = replace_assignment(tf, teams)
+    assert verify_truth_function(plain, phi, theta) and plain.to_json() == tf.to_json()
+
+
+def test_verify_truth_function_checks_the_variables_of_a_hand_made_dict():
+    phi = parse("r1 + r2")
+    theta = (parse("p"), parse("!p"))
+    tf = find_truth_function(phi, theta, full_team(P))
+    teams = dict(tf.assignment)
+    teams[2] = Team(VarSet.of("q"), teams[2].mask)
+    with pytest.raises(ValidationError, match="node 2 team is over a different variable set"):
+        verify_truth_function(replace_assignment(tf, teams), phi, theta)
+    del teams[2]
+    with pytest.raises(ValidationError, match=r"assignment missing nodes \[2\]"):
+        verify_truth_function(replace_assignment(tf, teams), phi, theta)
+
+
+def replace_assignment(tf, assignment):
+    from dataclasses import replace
+
+    return replace(tf, assignment=assignment)
 
 
 def test_complete_from_leaves_pin():

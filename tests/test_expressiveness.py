@@ -226,3 +226,29 @@ def test_dep_translation_degenerate_target():
 
     got = dep_to_inql((p,), p)
     assert equivalent(Dep((p,), p), got)
+
+
+def test_synth_pd_equals_the_conjunction_of_per_team_theta_stars():
+    # synth_pd builds the parts of its theta_star conjuncts once per call
+    from functools import reduce
+
+    from tsw.formulas import And
+    from tsw.semantics import _down_set
+
+    def per_team(K):
+        npat = 1 << len(K.vars)
+        excluded = sorted(set(range(1, 1 << npat)) - K.masks, key=lambda m: (m.bit_count(), m))
+        if not excluded:
+            return Top()
+        return reduce(And, [theta_star(Team(K.vars, m)) for m in excluded])
+
+    families = list(enumerate_downward_closed_families(PQ))
+    assert len(families) == 167
+    rng = random.Random(18)
+    for _ in range(50):
+        tops = [rng.getrandbits(8) for _ in range(rng.randint(1, 4))]
+        ind = _down_set(tops, 8)
+        families.append(TeamFamily(PQR, frozenset(m for m in range(256) if ind >> m & 1)))
+    for K in families:
+        got, want = synth_pd(K), per_team(K)
+        assert got == want and to_text(got) == to_text(want)

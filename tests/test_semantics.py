@@ -17,6 +17,7 @@ from tsw.formulas import (
     Variable,
     substitute,
     syntax_tree,
+    to_text,
 )
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
@@ -25,6 +26,7 @@ from tsw.semantics import (
     _down_set,
     _truth_indicator,
     alternatives,
+    alternatives_within,
     check_basic_properties,
     entails,
     equivalent,
@@ -477,3 +479,49 @@ def test_bit_positions_match_bit_stripping():
                 y = sum(1 << rng.randrange(bits) for _ in range(k)) if bits else 0
                 assert _bit_positions(y) == stripped(y)
     assert _bit_positions((1 << 65536) - 1) == list(range(65536))
+
+
+def test_plan_walk_matches_the_fold_walk_on_every_context():
+    # Each context walks its syntax tree's plan; the fold walk of each
+    # node's formula, with the same placeholder antichains, must give the
+    # same alternatives, and the whole tree the same budget charge.
+    from tsw.definability import enumerate_contexts
+    from tsw.semantics import _run_plan, _Walk
+    from tsw.teams import maximal_masks
+
+    rng = random.Random(18)
+    pools = ("r1,r2,bot,top,p,!p,=(p)", "r1,r2,p1,q,=(q;p1),bot,top,!q")
+    for pool_text, vars in zip(pools, (P, VarSet.of("p1", "q"))):
+        npat = 1 << len(vars)
+        pool = [parse(t) for t in pool_text.split(",")]
+        contexts = enumerate_contexts(pool, 7)
+        contexts += [parse(t) for t in ("r1 | r2", "r1 -> r2", "(r1 | top) -> (r2 + bot)")]
+        for phi in contexts:
+            X = rng.getrandbits(npat)
+            bound = {
+                i: maximal_masks([rng.getrandbits(npat) & X for _ in range(rng.randint(1, 4))])
+                for i in (1, 2)
+            }
+            planned = _Walk(vars, X)
+            planned.bound = bound
+            tree = syntax_tree(phi)
+            got = _run_plan(planned, tree)
+            for node in tree.nodes:
+                folded = _Walk(vars, X)
+                folded.bound = bound
+                assert got[node.id] == folded.alternatives(node.formula), to_text(phi)
+                if node.id == tree.root:
+                    assert planned.spent == folded.spent, to_text(phi)
+
+
+def test_alternatives_within_picks_the_walk_by_placeholders():
+    # a context walks its kept tree; a placeholder-free formula folds and
+    # builds no tree
+    team = full_team(PQ)
+    context = parse("(r1 & p) + (r2 & !q)")
+    alts = alternatives_within(context, team, [[team.mask], [team.mask]])
+    assert context._kept[1] is syntax_tree(context)
+    assert alts == alternatives(parse("p + !q"), PQ)
+    closed = parse("(top & p) + (top & !q)")
+    assert alternatives_within(closed, team) == alts
+    assert closed._kept[1] is None

@@ -261,3 +261,34 @@ def test_sort_key_orders_by_size_then_mask():
     teams = sorted(enumerate_teams(PQ), key=Team.sort_key, reverse=True)
     assert teams[-1].is_empty
     assert teams[0].mask == 0b1111
+
+
+def test_maximal_masks_against_a_pairwise_reference():
+    # lists of every length up to 300, short ones (the pairwise scan) most
+    from tsw.teams import maximal_masks
+
+    rng = random.Random(18)
+    for i in range(600):
+        npat = rng.choice((2, 4, 8, 16, 32))
+        size = i % 12 if i % 3 else rng.randint(0, 300)
+        masks = [rng.getrandbits(npat) for _ in range(size)]
+        got = maximal_masks(list(masks))
+        want = {m for m in masks if not any(m != o and m & ~o == 0 for o in masks)}
+        assert len(got) == len(set(got)) and set(got) == want
+        counts = [m.bit_count() for m in got]
+        assert counts == sorted(counts, reverse=True)
+
+
+def test_varset_walk_table_is_not_seen():
+    import pickle
+
+    vs = VarSet.of("q", "p", "r")
+    before = (pickle.dumps(vs), hash(vs), repr(vs))
+    members, ones = vs._table
+    assert members == set(vs.vars)
+    assert (ones["r"], ones["p"], ones["q"]) == (0b11110000, 0b10101010, 0b11001100)
+    assert dict(ones) == {"p": 0b10101010, "q": 0b11001100, "r": 0b11110000}
+    assert (pickle.dumps(vs), hash(vs), repr(vs)) == before
+    assert pickle.dumps(vs) == pickle.dumps(VarSet.of("p", "q", "r"))
+    again = pickle.loads(pickle.dumps(vs))
+    assert again == vs and hash(again) == hash(vs) and "_table" not in again.__dict__
