@@ -59,8 +59,6 @@ from typing import Callable, Optional, Sequence
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .expressiveness import theta_star, theta_star_alternatives
 from .formulas import (
-    K_AND,
-    K_TENSOR,
     And,
     Bottom,
     Dep,
@@ -347,7 +345,6 @@ def verify_truth_function(
     # Alternatives within the root team, recomputed here; every team that
     # lies inside one of its node's alternatives lies inside the root's.
     alts = _node_alternatives(tree, theta, vars, masks[tree.root])
-    plan = tree.plan
     for node in tree.nodes:
         i = node.id
         T = masks[i]
@@ -356,12 +353,12 @@ def verify_truth_function(
                 break
         else:
             return False
-        k = plan[i]
-        if k == K_AND:
+        t = type(node.formula)
+        if t is And:
             y, z = node.children
             if masks[y] != T or masks[z] != T:
                 return False
-        elif k == K_TENSOR:
+        elif t is Tensor:
             y, z = node.children
             if masks[y] | masks[z] != T:
                 return False
@@ -418,15 +415,13 @@ def _descend(
     largest left side."""
     masks = [0] * len(tree.nodes)
     masks[tree.root] = X.mask
-    plan = tree.plan
     for node in tree.nodes:  # pre-order: each parent before its children
-        node_id = node.id
-        k = plan[node_id]
-        if k < K_AND:
+        if not node.children:
             continue
+        node_id = node.id
         T = masks[node_id]
         y, z = node.children
-        if k == K_AND:
+        if type(node.formula) is And:
             masks[y] = masks[z] = T
             continue
         left = largest_split(T, alts[y], alts[z])

@@ -16,7 +16,7 @@ translation between the two fragments.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ValidationError
 from .formulas import (
@@ -40,11 +40,18 @@ from .teams import Team, TeamFamily, VarSet, full_team, is_downward_closed
 @lru_cache(maxsize=256)
 def _valuation_literal(pattern: int, vars: VarSet) -> Formula:
     """Conjunction of literals pinning each variable to its bit in ``pattern``.
-    Cached, so the ``theta_star`` formulas over one variable set share it."""
+    Cached, so the ``theta_star`` conjuncts of one synthesis share it."""
     lits: list[Formula] = [
         PosVar(v) if (pattern >> i) & 1 else NegVar(v) for i, v in enumerate(vars)
     ]
     return reduce(And, lits)
+
+
+@lru_cache(maxsize=64)
+def _constancy(N: VarSet) -> Formula:
+    """The conjunction of the constancy atoms of all variables of ``N``.
+    Cached, so the ``theta_star`` conjuncts of one synthesis share it."""
+    return reduce(And, [Dep((), v) for v in N])
 
 
 def theta_star(X: Team, *, raw: bool = False) -> Formula:
@@ -61,24 +68,16 @@ def theta_star(X: Team, *, raw: bool = False) -> Formula:
     if X.is_empty:
         raise ValidationError("theta_star needs a nonempty team")
     N = X.vars
-    constancy = _constancy(N) if X.size > 1 else None
-    return _assemble_theta(X.mask, 1 << len(N), constancy, lambda p: _valuation_literal(p, N), raw)
-
-
-def _constancy(N: VarSet) -> Formula:
-    """The conjunction of the constancy atoms of all variables of ``N``."""
-    return reduce(And, [Dep((), v) for v in N])
-
-
-def _assemble_theta(
-    mask: int, npat: int, constancy: Optional[Formula], literal: Callable, raw: bool = False
-) -> Formula:
-    """``theta_star`` of the nonempty team ``mask`` over ``npat`` patterns
-    from its parts: the constancy conjunction (needed when the team has two
-    members or more) and ``literal(pattern)``, the literal conjunction of
-    each pattern outside the team."""
-    copies: list[Formula] = [constancy] * (mask.bit_count() - 1)
-    lits = [literal(pattern) for pattern in range(npat) if not (mask >> pattern) & 1]
+    m = X.size - 1
+    copies: list[Formula] = []
+    if m:
+        copies = [_constancy(N)] * m
+    npat = 1 << len(N)
+    lits = [
+        _valuation_literal(pattern, N)
+        for pattern in range(npat)
+        if not (X.mask >> pattern) & 1
+    ]
     if raw:
         left = reduce(Tensor, copies) if copies else Bottom()
         right = reduce(Tensor, lits) if lits else Bottom()
@@ -127,13 +126,7 @@ def synth_pd(K: TeamFamily, *, minimize: bool = False, force: bool = False) -> F
         ]
     if not excluded:
         return Top()
-    # the parts every conjunct shares, built once
-    N = K.vars
-    constancy = _constancy(N) if npat > 1 else None
-    lits = [_valuation_literal(pattern, N) for pattern in range(npat)] if N else []
-    return reduce(
-        And, [_assemble_theta(mask, npat, constancy, lits.__getitem__) for mask in excluded]
-    )
+    return reduce(And, [theta_star(Team(K.vars, mask)) for mask in excluded])
 
 
 def _inql_literal(pattern: int, vars: VarSet) -> Formula:

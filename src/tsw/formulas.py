@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -79,23 +79,25 @@ class _Kept:
 class _Node:
     """The base of the formula node classes, which keep their census and
     syntax tree (see the module docstring).  Both live in one attribute,
-    ``_kept``, a pair whose tree is None until first asked for: on CPython
-    3.11 a node has room for one value beyond its fields, and a second
-    attribute would cost it a ``__dict__`` (about 270 B).  Pickling, like
-    the generated ``==``, ``hash`` and ``repr``, reads the fields alone."""
+    ``_kept``: the census, a 3-tuple, which gains the tree as a fourth item
+    when the tree is first asked for.  On CPython 3.11 a node has room for
+    one value beyond its fields, and a second attribute would cost it a
+    ``__dict__`` (about 270 B).  Pickling, like the generated ``==``,
+    ``hash`` and ``repr``, reads the fields alone."""
 
-    _kept = _Kept(lambda node: (_take_census(node), None))
+    _kept = _Kept(lambda node: _take_census(node))
 
     @property
     def _census(self) -> "Census":
-        return self._kept[0]
+        return self._kept[:3]
 
     @property
     def _tree(self) -> "SyntaxTree":
-        census, tree = self._kept
-        if tree is None:
-            tree = _build_tree(self)
-            object.__setattr__(self, "_kept", (census, tree))
+        kept = self._kept
+        if len(kept) == 4:
+            return kept[3]
+        tree = _build_tree(self)
+        object.__setattr__(self, "_kept", kept + (tree,))
         return tree
 
     def __getstate__(self):
@@ -174,11 +176,6 @@ Formula = Union[Atom, And, Tensor, IDisj, Impl]
 BINARY_NODES = (And, Tensor, IDisj, Impl)
 ATOM_NODES = (PosVar, NegVar, Bottom, Top, Dep, Placeholder)
 
-# The kind code of each node type, as a syntax tree's plan records it:
-# atoms first, so every code from K_AND up is a connective.
-K_POS, K_NEG, K_BOT, K_TOP, K_DEP, K_HOLE, K_AND, K_TENSOR, K_IDISJ, K_IMPL = range(10)
-KIND = dict(zip(ATOM_NODES + BINARY_NODES, range(10)))
-
 
 def is_atom(phi: Formula) -> bool:
     return isinstance(phi, ATOM_NODES)
@@ -201,8 +198,7 @@ _ALLOWED = {
 
 def fragment_check(phi: Formula, fragment: Fragment) -> bool:
     """True iff every connective and atom of ``phi`` is admitted in ``fragment``."""
-    _, _, types = phi._kept[0]
-    return _ALLOWED[fragment].issuperset(types)
+    return _ALLOWED[fragment].issuperset(phi._kept[2])
 
 
 _GLYPH = {And: "&", Tensor: "+", IDisj: "|", Impl: "->"}
@@ -328,30 +324,26 @@ def _take_census(phi: Formula) -> Census:
 def scan_variables(phi: Formula) -> tuple[frozenset[Variable], frozenset[int]]:
     """The variables occurring in ``phi`` and the indices of its
     placeholders, from its census."""
-    used, placeholders, _ = phi._kept[0]
-    return used, placeholders
+    kept = phi._kept
+    return kept[0], kept[1]
 
 
 def variables(phi: Formula) -> tuple[Variable, ...]:
     """Variables occurring in ``phi``, sorted by name."""
-    used, _, _ = phi._kept[0]
-    return tuple(sorted(used))
+    return tuple(sorted(phi._kept[0]))
 
 
 def placeholder_indices(phi: Formula) -> tuple[int, ...]:
-    _, placeholders, _ = phi._kept[0]
-    return tuple(sorted(placeholders))
+    return tuple(sorted(phi._kept[1]))
 
 
 def is_context(phi: Formula) -> bool:
     """True iff ``phi`` contains at least one placeholder."""
-    _, placeholders, _ = phi._kept[0]
-    return bool(placeholders)
+    return bool(phi._kept[1])
 
 
 def max_placeholder(phi: Formula) -> int:
-    _, placeholders, _ = phi._kept[0]
-    return max(placeholders, default=0)
+    return max(phi._kept[1], default=0)
 
 
 def substituent(theta: Sequence[Formula], index: int) -> Formula:
@@ -392,17 +384,11 @@ class SyntaxTree:
     """Node-identified full binary tree of a formula.
 
     Node ids are assigned in pre-order, so the root is node 0.  Distinct
-    occurrences of one subformula get distinct ids.  ``plan`` holds the
-    kind code (``KIND``) of each node by id, one byte each: walks read it in
-    reverse, children before parents, instead of testing node types.
+    occurrences of one subformula get distinct ids.
     """
 
     nodes: tuple[TreeNode, ...]
     root: int = 0
-    plan: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "plan", bytes([KIND[type(n.formula)] for n in self.nodes]))
 
     def __len__(self) -> int:
         return len(self.nodes)

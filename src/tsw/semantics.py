@@ -25,15 +25,14 @@ one split rule for ``+``.  Antichains can blow up, so a walk that would
 form more than ``ALTERNATIVES_BUDGET`` candidate alternatives raises
 ``CapExceededError`` instead.
 
-Two drivers take alternatives bottom-up, and whether the formula has
-placeholders picks between them.  A placeholder-free formula, fresh on
-most calls, is folded (``formulas.fold``), which builds nothing to keep.
-A context is walked by ``_run_plan``: one loop over the plan of its syntax
-tree (a kind byte per node), which the context keeps for its next walk;
-leaves and ``&``/``+`` of single alternatives are read inline, and every
-node's alternatives are kept.  ``node_alternatives`` gives those of every
-node of an instantiated context within X, for the truth functions of
-``definability``.
+Alternatives are taken bottom-up by one of two drivers, picked by what is
+asked.  Those of a formula's root alone come from a fold
+(``formulas.fold``), which builds nothing to keep, so a context walked
+once, as in a refutation, is left as it was.  ``node_alternatives`` gives
+those of every node of an instantiated context within X, for the truth
+functions of ``definability``: one loop over the context's syntax tree,
+the one its truth functions are made of.  Both go through the same
+``_Walk`` steps, so they charge the budget alike.
 
 ``alternatives`` gives the alternatives of a formula on the full team over
 a variable set, ``alternatives_within`` those within any team, and ``join``
@@ -67,13 +66,6 @@ from typing import AbstractSet, Optional, Sequence
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .formulas import (
     BINARY_NODES,
-    K_AND,
-    K_BOT,
-    K_HOLE,
-    K_NEG,
-    K_POS,
-    K_TENSOR,
-    K_TOP,
     And,
     Bottom,
     Dep,
@@ -90,7 +82,6 @@ from .formulas import (
     fold,
     scan_variables,
     substituent,
-    syntax_tree,
     to_text,
 )
 from .teams import (
@@ -179,7 +170,14 @@ def _node_alternatives(
     _check_closed(used, placeholders, vars)
     walk = _Walk(vars, X)
     walk.bound = {i: walk.alternatives(f) for i, f in insts.items()}
-    return _run_plan(walk, tree)
+    alts: list[list[int]] = [[]] * len(tree.nodes)
+    for node in reversed(tree.nodes):  # ids are pre-order: children come later
+        if node.children:
+            y, z = node.children
+            alts[node.id] = walk.combine(node.formula, alts[y], alts[z])
+        else:
+            alts[node.id] = walk.atom_alternatives(node.formula)
+    return alts
 
 
 def largest_split(T: int, left: list[int], right: list[int]) -> Optional[int]:
@@ -287,6 +285,9 @@ class _Walk:
             return maximal_masks(left + right)
         if t is Impl:
             return self.implication_alternatives(left, right)
+        if len(left) == 1 and len(right) == 1:
+            self.charge(1)
+            return [left[0] & right[0]] if t is And else [left[0] | right[0]]
         self.charge(len(left) * len(right))
         return join(t, left, right)
 
@@ -340,41 +341,6 @@ class _Walk:
             self.charge(len(cands) * len(choices))
             cands = join(And, cands, choices)
         return cands
-
-
-def _run_plan(walk: _Walk, tree: SyntaxTree) -> list[list[int]]:
-    """By node id, the alternatives within the walk's team of every node of
-    ``tree``, placeholders read from ``walk.bound``: one pass over the
-    tree's plan, children before parents.  Leaves are read inline, and an
-    ``&`` or ``+`` of two single alternatives is one ``&`` or ``|``, charged
-    as ``combine`` charges it; every other node goes through ``combine``."""
-    X, ones, bound = walk.X, walk.ones, walk.bound
-    nodes, plan = tree.nodes, tree.plan
-    alts: list = [None] * len(plan)
-    for i in range(len(plan) - 1, -1, -1):
-        k = plan[i]
-        if k >= K_AND:
-            node = nodes[i]
-            y, z = node.children
-            left, right = alts[y], alts[z]
-            if k <= K_TENSOR and len(left) == 1 and len(right) == 1:
-                walk.charge(1)
-                alts[i] = [left[0] & right[0]] if k == K_AND else [left[0] | right[0]]
-            else:
-                alts[i] = walk.combine(node.formula, left, right)
-        elif k == K_HOLE:
-            alts[i] = bound[nodes[i].formula.index]
-        elif k == K_POS:
-            alts[i] = [X & ones[nodes[i].formula.var.name]]
-        elif k == K_NEG:
-            alts[i] = [X & ~ones[nodes[i].formula.var.name]]
-        elif k == K_TOP:
-            alts[i] = [X]
-        elif k == K_BOT:
-            alts[i] = [0]
-        else:
-            alts[i] = walk.dep_alternatives(nodes[i].formula)
-    return alts
 
 
 # --- Indicator engine ----------------------------------------------------
@@ -534,9 +500,7 @@ def alternatives(phi: Formula, vars: VarSet, bound: Sequence[Sequence[int]] = ()
 def alternatives_within(phi: Formula, team: Team, bound: Sequence[Sequence[int]] = ()) -> list[int]:
     """The alternatives of ``phi`` within ``team`` from one walk, placeholder
     ``r<i>`` read as the antichain ``bound[i-1]``: ``team`` satisfies ``phi``
-    iff it is one of them.  Past ``ALTERNATIVES_BUDGET``, CapExceededError.
-    A context walks the plan of its syntax tree, kept on it for the next
-    call; a placeholder-free formula, fresh on most calls, is folded."""
+    iff it is one of them.  Past ``ALTERNATIVES_BUDGET``, CapExceededError."""
     return _alternatives_within(phi, team.vars, team.mask, bound)
 
 
@@ -546,11 +510,8 @@ def _alternatives_within(
     used, placeholders = scan_variables(phi)
     _closed_variables(used, placeholders, vars, bound)
     walk = _Walk(vars, X)
-    if not placeholders:
-        return walk.alternatives(phi)
     walk.bound = {i: list(bound[i - 1]) for i in placeholders}
-    tree = syntax_tree(phi)
-    return _run_plan(walk, tree)[tree.root]
+    return walk.alternatives(phi)
 
 
 def truth_set(phi: Formula, vars: Optional[VarSet] = None, *, force: bool = False) -> TeamFamily:

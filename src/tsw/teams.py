@@ -296,7 +296,7 @@ def maximal_masks(masks: list[int]) -> list[int]:
     if len(masks) < 2:
         return masks
     kept: list[int] = []
-    if len(masks) <= 8:  # few enough to test each against the kept ones
+    if len(masks) <= 64:  # a pairwise test beats the holders bitsets up to here
         for t in sorted(set(masks), key=int.bit_count, reverse=True):
             for k in kept:
                 if t & ~k == 0:

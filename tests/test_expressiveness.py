@@ -228,27 +228,32 @@ def test_dep_translation_degenerate_target():
     assert equivalent(Dep((p,), p), got)
 
 
-def test_synth_pd_equals_the_conjunction_of_per_team_theta_stars():
-    # synth_pd builds the parts of its theta_star conjuncts once per call
+def test_theta_star_with_a_shared_constancy_conjunction_keeps_its_shape():
+    # theta_star takes its constancy conjunction from a cache, so the
+    # theta_star conjuncts of a synthesis share one; each must still equal
+    # the formula built from fresh atoms
     from functools import reduce
 
-    from tsw.formulas import And
-    from tsw.semantics import _down_set
+    from tsw.formulas import And, Bottom, Dep, NegVar, PosVar, Tensor
 
-    def per_team(K):
-        npat = 1 << len(K.vars)
-        excluded = sorted(set(range(1, 1 << npat)) - K.masks, key=lambda m: (m.bit_count(), m))
-        if not excluded:
-            return Top()
-        return reduce(And, [theta_star(Team(K.vars, m)) for m in excluded])
+    def fresh(X, raw):
+        N = X.vars
+        copies = [reduce(And, [Dep((), v) for v in N])] * (X.size - 1)
+        lits = [
+            reduce(And, [PosVar(v) if p >> i & 1 else NegVar(v) for i, v in enumerate(N)])
+            for p in range(1 << len(N))
+            if not X.mask >> p & 1
+        ]
+        if raw:
+            left = reduce(Tensor, copies) if copies else Bottom()
+            right = reduce(Tensor, lits) if lits else Bottom()
+            return Tensor(left, right)
+        return reduce(Tensor, copies + lits) if copies + lits else Bottom()
 
-    families = list(enumerate_downward_closed_families(PQ))
-    assert len(families) == 167
     rng = random.Random(18)
-    for _ in range(50):
-        tops = [rng.getrandbits(8) for _ in range(rng.randint(1, 4))]
-        ind = _down_set(tops, 8)
-        families.append(TeamFamily(PQR, frozenset(m for m in range(256) if ind >> m & 1)))
-    for K in families:
-        got, want = synth_pd(K), per_team(K)
-        assert got == want and to_text(got) == to_text(want)
+    teams = [Team(PQ, m) for m in range(1, 16)]
+    teams += [Team(PQR, rng.randrange(1, 256)) for _ in range(50)]
+    for X in teams:
+        for raw in (False, True):
+            got, want = theta_star(X, raw=raw), fresh(X, raw)
+            assert got == want and to_text(got) == to_text(want)

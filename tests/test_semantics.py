@@ -481,47 +481,41 @@ def test_bit_positions_match_bit_stripping():
     assert _bit_positions((1 << 65536) - 1) == list(range(65536))
 
 
-def test_plan_walk_matches_the_fold_walk_on_every_context():
-    # Each context walks its syntax tree's plan; the fold walk of each
-    # node's formula, with the same placeholder antichains, must give the
-    # same alternatives, and the whole tree the same budget charge.
+def test_tree_walk_matches_the_fold_walk_on_every_context():
+    # node_alternatives walks every node of a syntax tree; the fold walk of
+    # each node's formula, with the same instances, must give the same
+    # alternatives
     from tsw.definability import enumerate_contexts
-    from tsw.semantics import _run_plan, _Walk
-    from tsw.teams import maximal_masks
+    from tsw.semantics import _Walk, node_alternatives
 
     rng = random.Random(18)
     pools = ("r1,r2,bot,top,p,!p,=(p)", "r1,r2,p1,q,=(q;p1),bot,top,!q")
-    for pool_text, vars in zip(pools, (P, VarSet.of("p1", "q"))):
+    instances = ("p,!p,=(p),p + !p,top,bot", "p1,!q,=(p1;q),p1 + !p1,q & =(q),q | !p1")
+    for pool_text, inst_text, vars in zip(pools, instances, (P, VarSet.of("p1", "q"))):
         npat = 1 << len(vars)
         pool = [parse(t) for t in pool_text.split(",")]
+        insts = [parse(t) for t in inst_text.split(",")]
         contexts = enumerate_contexts(pool, 7)
         contexts += [parse(t) for t in ("r1 | r2", "r1 -> r2", "(r1 | top) -> (r2 + bot)")]
         for phi in contexts:
             X = rng.getrandbits(npat)
-            bound = {
-                i: maximal_masks([rng.getrandbits(npat) & X for _ in range(rng.randint(1, 4))])
-                for i in (1, 2)
-            }
-            planned = _Walk(vars, X)
-            planned.bound = bound
+            theta = (rng.choice(insts), rng.choice(insts))
             tree = syntax_tree(phi)
-            got = _run_plan(planned, tree)
+            got = node_alternatives(tree, theta, Team(vars, X))
             for node in tree.nodes:
                 folded = _Walk(vars, X)
-                folded.bound = bound
+                folded.bound = {i: folded.alternatives(theta[i - 1]) for i in (1, 2)}
                 assert got[node.id] == folded.alternatives(node.formula), to_text(phi)
-                if node.id == tree.root:
-                    assert planned.spent == folded.spent, to_text(phi)
 
 
-def test_alternatives_within_picks_the_walk_by_placeholders():
-    # a context walks its kept tree; a placeholder-free formula folds and
-    # builds no tree
+def test_alternatives_within_keeps_no_tree_on_a_context():
+    # a walk of the root alone folds, so a context walked once (as in a
+    # refutation) is left without a syntax tree
     team = full_team(PQ)
     context = parse("(r1 & p) + (r2 & !q)")
     alts = alternatives_within(context, team, [[team.mask], [team.mask]])
-    assert context._kept[1] is syntax_tree(context)
+    assert len(context._kept) == 3  # its census alone
     assert alts == alternatives(parse("p + !q"), PQ)
     closed = parse("(top & p) + (top & !q)")
     assert alternatives_within(closed, team) == alts
-    assert closed._kept[1] is None
+    assert len(closed._kept) == 3

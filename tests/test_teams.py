@@ -264,7 +264,7 @@ def test_sort_key_orders_by_size_then_mask():
 
 
 def test_maximal_masks_against_a_pairwise_reference():
-    # lists of every length up to 300, short ones (the pairwise scan) most
+    # lists of every length up to 300, short ones most
     from tsw.teams import maximal_masks
 
     rng = random.Random(18)
