@@ -14,24 +14,15 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .definability import (
-    build_reduced_truth_function,
-    builtin_connective,
-    closure_check,
-    condition_check,
-    find_truth_function,
-    is_consistent,
-    normalize,
-    refute_uniform_definition,
-    search_contexts,
-)
+# Read as module attributes when a command runs: the package runs these two
+# on first use, so a command that needs neither never runs them.
+from . import definability, expressiveness
 from .errors import (
     CapExceededError,
     InternalInvariantError,
     ParseError,
     ValidationError,
 )
-from .expressiveness import synth_inql, synth_pd, theta_star, translate
 from .formulas import Variable, is_atom, substitute, to_text
 from .parsing import parse
 from .semantics import (
@@ -281,16 +272,16 @@ def _run(args) -> tuple[str, dict]:
 
     if args.command == "theta":
         team = _load_team(args.team, _parse_vars(args.vars))
-        return _formula_result(theta_star(team, raw=args.raw))
+        return _formula_result(expressiveness.theta_star(team, raw=args.raw))
 
     if args.command == "synth":
         family = _load_family(args.family)
-        synth = synth_pd if args.target == "pd" else synth_inql
+        synth = expressiveness.synth_pd if args.target == "pd" else expressiveness.synth_inql
         return _formula_result(synth(family, force=args.force))
 
     if args.command == "translate":
         phi = parse(args.formula)
-        return _formula_result(translate(phi, args.target, force=args.force))
+        return _formula_result(expressiveness.translate(phi, args.target, force=args.force))
 
     if args.command == "subst":
         context = parse(args.context)
@@ -298,16 +289,16 @@ def _run(args) -> tuple[str, dict]:
         return _formula_result(substitute(context, instances))
 
     if args.command == "normalize":
-        return _formula_result(normalize(parse(args.context)))
+        return _formula_result(definability.normalize(parse(args.context)))
 
     if args.command == "consistent":
-        return _bool_result(is_consistent(parse(args.context)))
+        return _bool_result(definability.is_consistent(parse(args.context)))
 
     if args.command == "truthfn":
         context = parse(args.context)
         instances = [parse(t) for t in args.formula]
         team = _load_team(args.team, _parse_vars(args.vars))
-        tau = find_truth_function(context, instances, team)
+        tau = definability.find_truth_function(context, instances, team)
         if tau is None:
             human = "none (the team does not satisfy the instantiated context)"
             return human, {"found": False, "truth_function": None}
@@ -319,15 +310,15 @@ def _run(args) -> tuple[str, dict]:
         vars = _parse_vars(args.vars)
         if vars is None:
             vars = var_set(context)
-        tau = build_reduced_truth_function(context, vars)
+        tau = definability.build_reduced_truth_function(context, vars)
         payload = tau.to_json()
         payload["context"] = payload["nodes"][0]["formula"]
         return _truth_function_human(payload), payload
 
     if args.command == "refute":
         context = parse(args.context)
-        c = builtin_connective(args.connective)
-        ce = refute_uniform_definition(context, c)
+        c = definability.builtin_connective(args.connective)
+        ce = definability.refute_uniform_definition(context, c)
         inst = ", ".join(to_text(t) for t in ce.instances)
         human = (
             f"instances: {inst}\n"
@@ -337,7 +328,8 @@ def _run(args) -> tuple[str, dict]:
         return human, ce.to_json()
 
     if args.command == "search" and args.closure:
-        report = closure_check(builtin_connective(args.connective), _parse_pool(args.pool))
+        c = definability.builtin_connective(args.connective)
+        report = definability.closure_check(c, _parse_pool(args.pool))
         some = "one matches" if report.reachable else "none matches"
         lines = [
             f"{report.signatures} signatures reachable in {report.rounds} rounds; "
@@ -347,8 +339,8 @@ def _run(args) -> tuple[str, dict]:
         return "\n".join(lines), report.to_json()
 
     if args.command == "search":
-        c = builtin_connective(args.connective)
-        report = search_contexts(c, _parse_pool(args.pool), args.max_size)
+        c = definability.builtin_connective(args.connective)
+        report = definability.search_contexts(c, _parse_pool(args.pool), args.max_size)
         lines = [
             f"{report.refuted}/{report.total} contexts refuted "
             f"(size <= {report.max_size}, {report.elapsed_s}s)"
@@ -359,7 +351,7 @@ def _run(args) -> tuple[str, dict]:
         return "\n".join(lines), report.to_json()
 
     if args.command == "conditions":
-        report = condition_check(builtin_connective(args.connective))
+        report = definability.condition_check(definability.builtin_connective(args.connective))
         lines = []
         for w in report.witnesses:
             mark = "holds" if w.holds else "FAILS"

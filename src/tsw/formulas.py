@@ -15,19 +15,21 @@ primitive atom satisfied by every team; it is admitted in every fragment
 so that contexts can be instantiated trivially without fragment-specific
 encodings.
 
-Each formula node keeps what is derived from it, computed by one walk on
-first request and stored on the node: its census (the variables, the
-placeholder indices and the node types occurring in it) and its syntax
-tree.  The fields stay frozen, and ``==``, ``hash``, ``repr`` and pickling
-read the fields alone, so what a node keeps is never seen; it lives and
-dies with the node.
+Nodes, variables and syntax trees are plain classes with slots and
+hand-written value methods: the constructor sets the fields once, and
+assigning or deleting one raises ``AttributeError``.  Each formula node
+keeps what is derived from it, computed by one walk on first request and
+stored on the node: its census (the variables, the placeholder indices
+and the node types occurring in it), its syntax tree and its hash.
+``==``, ``hash``, ``repr`` and pickling read the fields alone, so what a
+node keeps is never seen; it lives and dies with the node.  ``==`` and
+``hash`` keep their own stacks, so formulas of any depth compare.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -37,55 +39,107 @@ _RESERVED_RE = re.compile(r"r[0-9]+\Z")
 _KEYWORDS = ("bot", "top")
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A propositional variable, identified by its name."""
+class _Frozen:
+    """A value whose fields are set once, by ``__init__``: assigning or
+    deleting an attribute raises ``AttributeError``.  Subclasses write
+    their fields through ``object.__setattr__`` or a slot's ``__set__``."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise ValidationError(f"bad variable name {self.name!r}")
-        if _RESERVED_RE.match(self.name):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Variable(_Frozen):
+    """A propositional variable, identified by its name; ordered by name."""
+
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise ValidationError(f"bad variable name {name!r}")
+        if _RESERVED_RE.match(name):
             raise ValidationError(
-                f"{self.name!r} is reserved for placeholders and cannot name a variable"
+                f"{name!r} is reserved for placeholders and cannot name a variable"
             )
-        if self.name in _KEYWORDS:
-            raise ValidationError(f"{self.name!r} is a keyword and cannot name a variable")
+        if name in _KEYWORDS:
+            raise ValidationError(f"{name!r} is a keyword and cannot name a variable")
+
+    def __repr__(self):
+        return f"Variable(name={self.name!r})"
 
     def __str__(self):
         return self.name
 
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.name == other.name
+        return NotImplemented
 
-class _Kept:
-    """A fact derived from a formula node, built by ``build(node)`` on first
-    request and stored on the node under the descriptor's name, where later
-    reads find it first.  ``object.__setattr__`` keeps it among the node's
-    inline attribute values, where ``functools.cached_property`` would give
-    every node a ``__dict__`` of its own."""
+    def __hash__(self):
+        return hash((self.name,))
 
-    def __init__(self, build: Callable):
-        self.build = build
+    def __lt__(self, other):
+        if type(other) is type(self):
+            return self.name < other.name
+        return NotImplemented
 
-    def __set_name__(self, owner: type, name: str):
-        self.name = name
+    def __le__(self, other):
+        if type(other) is type(self):
+            return self.name <= other.name
+        return NotImplemented
 
-    def __get__(self, node, owner=None):
-        value = self.build(node)
-        object.__setattr__(node, self.name, value)
-        return value
+    def __gt__(self, other):
+        if type(other) is type(self):
+            return self.name > other.name
+        return NotImplemented
+
+    def __ge__(self, other):
+        if type(other) is type(self):
+            return self.name >= other.name
+        return NotImplemented
+
+    def __reduce__(self):
+        return (type(self), (self.name,))
 
 
-class _Node:
-    """The base of the formula node classes, which keep their census and
-    syntax tree (see the module docstring).  Both live in one attribute,
-    ``_kept``: the census, a 3-tuple, which gains the tree as a fourth item
-    when the tree is first asked for.  On CPython 3.11 a node has room for
-    one value beyond its fields, and a second attribute would cost it a
-    ``__dict__`` (about 270 B).  Pickling, like the generated ``==``,
-    ``hash`` and ``repr``, reads the fields alone."""
+_set_name = Variable.name.__set__
 
-    _kept = _Kept(lambda node: _take_census(node))
+
+class _Node(_Frozen):
+    """The base of the formula node classes.  Beyond its fields a node has
+    two slots, each filled on first request and never seen by ``==``,
+    ``hash``, ``repr`` or pickling, which read the fields alone:
+
+    * ``_facts``, read through ``_kept``: the census, a 3-tuple, which
+      gains the syntax tree as a fourth item when the tree is first asked
+      for;
+    * ``_hash``: the hash of the node's fields' tuple, kept by literals,
+      dependence atoms and connectives (a placeholder's or a constant's
+      is as cheap to recompute).  A connective's is built from its sides'
+      kept hashes, bottom-up by one walk with its own stack
+      (``_store_hashes``).
+
+    ``==`` on connectives walks both sides with its own stack too, so a
+    formula of any depth compares and hashes.  The methods are written
+    once per node shape (connective, variable literal, ``Dep``,
+    ``Placeholder``, constant).  Nodes have slots and no ``__dict__``."""
+
+    __slots__ = ("_facts", "_hash")
+
+    @property
+    def _kept(self) -> "Census":
+        try:
+            return self._facts
+        except AttributeError:
+            kept = _take_census(self)
+            _set_facts(self, kept)
+            return kept
 
     @property
     def _census(self) -> "Census":
@@ -97,77 +151,233 @@ class _Node:
         if len(kept) == 4:
             return kept[3]
         tree = _build_tree(self)
-        object.__setattr__(self, "_kept", kept + (tree,))
+        _set_facts(self, kept + (tree,))
         return tree
 
-    def __getstate__(self):
-        state = {k: v for k, v in self.__dict__.items() if k != "_kept"}
-        return state or None
+
+_set_facts = _Node._facts.__set__
+_set_hash = _Node._hash.__set__
 
 
-@dataclass(frozen=True)
-class PosVar(_Node):
-    var: Variable
+class _Binary(_Node):
+    """A connective: ``left`` and ``right`` are its two sides."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _same_connectives(self, other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _store_hashes(self)
+
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
 
 
-@dataclass(frozen=True)
-class NegVar(_Node):
-    var: Variable
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Bottom(_Node):
-    pass
+def _same_connectives(a: "_Binary", b: "_Binary") -> bool:
+    """``a == b`` for two connectives of one type, with its own stack: pairs
+    of connectives of one type are taken apart, any other pair compares by
+    its own ``==``, which does not recurse."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is type(b) and t in BINARY_NODES:
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        elif a != b:
+            return False
+    return True
 
 
-@dataclass(frozen=True)
-class Top(_Node):
-    pass
+def _store_hashes(phi: "_Binary") -> int:
+    """The hash of ``phi``, kept on it and on each connective below it
+    that has none yet, bottom-up with its own stack: by the time a
+    connective's tuple of sides is hashed, each side keeps its hash."""
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        if f is _BUILD:
+            f = stack.pop()
+            _set_hash(f, hash((f.left, f.right)))
+        elif type(f) in BINARY_NODES:
+            try:
+                f._hash
+            except AttributeError:
+                stack += (f, _BUILD, f.right, f.left)
+    return phi._hash
 
 
-@dataclass(frozen=True)
+class _Literal(_Node):
+    """A variable or a negated variable."""
+
+    __slots__ = ("var",)
+    __match_args__ = ("var",)
+
+    def __init__(self, var: Variable):
+        _set_var(self, var)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(var={self.var!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.var is other.var or self.var == other.var
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.var,))
+            _set_hash(self, h)
+            return h
+
+    def __reduce__(self):
+        return (type(self), (self.var,))
+
+
+_set_var = _Literal.var.__set__
+
+
+class PosVar(_Literal):
+    __slots__ = ()
+
+
+class NegVar(_Literal):
+    __slots__ = ()
+
+
+class _Constant(_Node):
+    """An atom without fields: every two of one type are equal."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return _EMPTY_HASH
+
+    def __reduce__(self):
+        return (type(self), ())
+
+
+_EMPTY_HASH = hash(())
+
+
+class Bottom(_Constant):
+    __slots__ = ()
+
+
+class Top(_Constant):
+    __slots__ = ()
+
+
 class Dep(_Node):
     """Dependence atom ``=(args; target)``: within a team, the target's
     value is a function of the argument values.  Empty args is the
     constancy atom ``=(target)``."""
 
-    args: tuple[Variable, ...]
-    target: Variable
+    __slots__ = ("args", "target")
+    __match_args__ = ("args", "target")
+
+    def __init__(self, args: tuple[Variable, ...], target: Variable):
+        _set_args(self, args)
+        _set_target(self, target)
+
+    def __repr__(self):
+        return f"Dep(args={self.args!r}, target={self.target!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.args, self.target) == (other.args, other.target)
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.args, self.target))
+            _set_hash(self, h)
+            return h
+
+    def __reduce__(self):
+        return (type(self), (self.args, self.target))
 
 
-@dataclass(frozen=True)
+_set_args = Dep.args.__set__
+_set_target = Dep.target.__set__
+
+
 class Placeholder(_Node):
     """Numbered hole ``r<index>`` filled by uniform substitution."""
 
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __init__(self, index: int):
+        _set_index(self, index)
+        if index < 1:
             raise ValidationError("placeholder indices start at r1")
 
+    def __repr__(self):
+        return f"Placeholder(index={self.index!r})"
 
-@dataclass(frozen=True)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.index == other.index
+        return NotImplemented
 
+    def __hash__(self):
+        return hash((self.index,))
 
-@dataclass(frozen=True)
-class Tensor(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class IDisj(_Node):
-    left: "Formula"
-    right: "Formula"
+    def __reduce__(self):
+        return (type(self), (self.index,))
 
 
-@dataclass(frozen=True)
-class Impl(_Node):
-    left: "Formula"
-    right: "Formula"
+_set_index = Placeholder.index.__set__
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Tensor(_Binary):
+    __slots__ = ()
+
+
+class IDisj(_Binary):
+    __slots__ = ()
+
+
+class Impl(_Binary):
+    __slots__ = ()
 
 
 Atom = Union[PosVar, NegVar, Bottom, Top, Dep, Placeholder]
@@ -368,27 +578,82 @@ def substitute(phi: Formula, theta: Sequence[Formula]) -> Formula:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """One occurrence of a subformula within a syntax tree."""
+class TreeNode(_Frozen):
+    """One occurrence of a subformula within a syntax tree: its ``id``, its
+    ``formula``, the id of its ``parent`` (``None`` at the root), the ids
+    of its ``children`` and its ``depth``."""
 
-    id: int
-    formula: Formula
-    parent: Optional[int]
-    children: tuple[int, ...]
-    depth: int
+    __slots__ = ("id", "formula", "parent", "children", "depth")
+    __match_args__ = __slots__
+
+    def __init__(
+        self,
+        id: int,
+        formula: Formula,
+        parent: Optional[int],
+        children: tuple[int, ...],
+        depth: int,
+    ):
+        _set_id(self, id)
+        _set_formula(self, formula)
+        _set_parent(self, parent)
+        _set_children(self, children)
+        _set_depth(self, depth)
+
+    def _fields(self) -> tuple:
+        return (self.id, self.formula, self.parent, self.children, self.depth)
+
+    def __repr__(self):
+        return (
+            f"TreeNode(id={self.id!r}, formula={self.formula!r}, parent={self.parent!r}, "
+            f"children={self.children!r}, depth={self.depth!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
 
-@dataclass(frozen=True)
-class SyntaxTree:
-    """Node-identified full binary tree of a formula.
+_set_id, _set_formula, _set_parent, _set_children, _set_depth = (
+    getattr(TreeNode, name).__set__ for name in TreeNode.__slots__
+)
+
+
+class SyntaxTree(_Frozen):
+    """Node-identified full binary tree of a formula: its ``nodes`` by id,
+    and the id of its ``root``.
 
     Node ids are assigned in pre-order, so the root is node 0.  Distinct
     occurrences of one subformula get distinct ids.
     """
 
-    nodes: tuple[TreeNode, ...]
-    root: int = 0
+    __slots__ = ("nodes", "root")
+    __match_args__ = __slots__
+
+    def __init__(self, nodes: tuple[TreeNode, ...], root: int = 0):
+        _set_nodes(self, nodes)
+        _set_root(self, root)
+
+    def __repr__(self):
+        return f"SyntaxTree(nodes={self.nodes!r}, root={self.root!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.nodes, self.root) == (other.nodes, other.root)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nodes, self.root))
+
+    def __reduce__(self):
+        return (type(self), (self.nodes, self.root))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -426,6 +691,9 @@ class SyntaxTree:
             cur = self.nodes[cur].parent
         return out
 
+
+_set_nodes = SyntaxTree.nodes.__set__
+_set_root = SyntaxTree.root.__set__
 
 def syntax_tree(phi: Formula) -> SyntaxTree:
     """The occurrence tree of ``phi``: leaves are atom occurrences,

@@ -60,7 +60,6 @@ suite, where the naive per-team tensor scan lives as a reference, and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import AbstractSet, Optional, Sequence
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -550,12 +549,31 @@ def equivalent(phi: Formula, psi: Formula, *, force: bool = False) -> bool:
 # --- Property suite -------------------------------------------------------
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str
-    witness: Optional[dict] = None
+    """One check of ``check_basic_properties``: its name, whether it passed,
+    what it checked and, on failure, a witness."""
+
+    def __init__(self, name: str, passed: bool, detail: str, witness: Optional[dict] = None):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness
+
+    def __repr__(self):
+        return (
+            f"CheckOutcome(name={self.name!r}, passed={self.passed!r}, "
+            f"detail={self.detail!r}, witness={self.witness!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return (self.name, self.passed, self.detail, self.witness)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -564,11 +582,29 @@ class CheckOutcome:
         return out
 
 
-@dataclass
 class PropertyReport:
-    formula: str
-    vars: list[str]
-    checks: list[CheckOutcome] = field(default_factory=list)
+    """The checks of ``check_basic_properties`` on one formula."""
+
+    def __init__(self, formula: str, vars: list[str], checks: Optional[list[CheckOutcome]] = None):
+        self.formula = formula
+        self.vars = vars
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self):
+        return (
+            f"PropertyReport(formula={self.formula!r}, vars={self.vars!r}, "
+            f"checks={self.checks!r})"
+        )
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return (self.formula, self.vars, self.checks)
 
     @property
     def ok(self) -> bool:

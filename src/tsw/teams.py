@@ -13,12 +13,11 @@ here, shared by family enumeration and the indicator engine of ``semantics``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError, ValidationError
-from .formulas import Variable, _Kept
+from .formulas import Variable, _Frozen
 
 # Teams are double-exponential objects; beyond this many variables even a
 # single full team mask is unreasonably large.
@@ -41,23 +40,51 @@ def _json_vars(obj: dict) -> "VarSet":
     return VarSet(tuple(Variable(n) for n in _as_list(obj["vars"], '"vars"')))
 
 
-@dataclass(frozen=True)
-class VarSet:
+class _Kept:
+    """A fact derived from a value, built by ``build(value)`` on first
+    request and stored on the value under the descriptor's name, where
+    later reads find it first.  ``object.__setattr__`` keeps it among the
+    value's inline attribute values, where ``functools.cached_property``
+    would give every value a ``__dict__`` of its own."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str):
+        self.name = name
+
+    def __get__(self, value, owner=None):
+        fact = self.build(value)
+        object.__setattr__(value, self.name, fact)
+        return fact
+
+
+class VarSet(_Frozen):
     """Ordered, duplicate-free tuple of variables; the order fixes bit positions."""
 
-    vars: tuple[Variable, ...]
-
     # What a walk over teams on these variables reads (``_walk_table``),
-    # found on first use.  Pickling, like ``==`` and ``hash``, reads the
-    # field alone.
+    # found on first use.  Pickling, like ``==``, ``hash`` and ``repr``,
+    # reads ``vars`` alone.
     _table = _Kept(lambda vs: _walk_table(vs.vars))
 
-    def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars):
+    def __init__(self, vars: tuple[Variable, ...]):
+        object.__setattr__(self, "vars", vars)
+        if len(set(vars)) != len(vars):
             raise ValidationError("duplicate variables in variable set")
 
-    def __getstate__(self):
-        return {"vars": self.vars}
+    def __repr__(self):
+        return f"VarSet(vars={self.vars!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.vars == other.vars
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars,))
+
+    def __reduce__(self):
+        return (type(self), (self.vars,))
 
     @classmethod
     def of(cls, *names: str) -> "VarSet":
@@ -118,16 +145,31 @@ class _PatternOnes(dict):
         return value
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(_Frozen):
     """One row of a team: a bit per variable."""
 
-    vars: VarSet
-    bits: int
+    __slots__ = ("vars", "bits")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << len(self.vars)):
+    def __init__(self, vars: VarSet, bits: int):
+        _set_valuation_vars(self, vars)
+        _set_valuation_bits(self, bits)
+        if not 0 <= bits < (1 << len(vars)):
             raise ValidationError("valuation bits out of range for the variable set")
+
+    def __repr__(self):
+        return f"Valuation(vars={self.vars!r}, bits={self.bits!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.vars, self.bits) == (other.vars, other.bits)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars, self.bits))
+
+    def __reduce__(self):
+        return (type(self), (self.vars, self.bits))
 
     @classmethod
     def from_row(cls, vars: VarSet, row: Sequence[int]) -> "Valuation":
@@ -154,6 +196,10 @@ class Valuation:
         return Valuation(sub, bits)
 
 
+_set_valuation_vars = Valuation.vars.__set__
+_set_valuation_bits = Valuation.bits.__set__
+
+
 def _guard_width(vars: VarSet) -> None:
     if len(vars) > MAX_TEAM_VARS:
         raise CapExceededError(
@@ -161,17 +207,32 @@ def _guard_width(vars: VarSet) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Team:
+class Team(_Frozen):
     """A set of valuations over a shared variable set, as a pattern bitmask."""
 
-    vars: VarSet
-    mask: int
+    __slots__ = ("vars", "mask")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        _guard_width(self.vars)
-        if not 0 <= self.mask < (1 << (1 << len(self.vars))):
+    def __init__(self, vars: VarSet, mask: int):
+        _set_team_vars(self, vars)
+        _set_team_mask(self, mask)
+        _guard_width(vars)
+        if not 0 <= mask < (1 << (1 << len(vars))):
             raise ValidationError("team mask out of range for the variable set")
+
+    def __repr__(self):
+        return f"Team(vars={self.vars!r}, mask={self.mask!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.vars, self.mask) == (other.vars, other.mask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars, self.mask))
+
+    def __reduce__(self):
+        return (type(self), (self.vars, self.mask))
 
     @classmethod
     def empty(cls, vars: VarSet) -> "Team":
@@ -258,6 +319,10 @@ class Team:
         return cls.from_rows(_json_vars(obj), obj["team"])
 
 
+_set_team_vars = Team.vars.__set__
+_set_team_mask = Team.mask.__set__
+
+
 def full_team(vars: VarSet) -> Team:
     """The team of all ``2^|vars|`` valuations.  For an empty variable set
     this is the singleton of the empty valuation."""
@@ -326,19 +391,34 @@ def maximal_masks(masks: list[int]) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
-class TeamFamily:
+class TeamFamily(_Frozen):
     """A set of teams over a fixed variable set."""
 
-    vars: VarSet
-    masks: frozenset[int]
+    __slots__ = ("vars", "masks")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        _guard_width(self.vars)
-        limit = 1 << (1 << len(self.vars))
-        for m in self.masks:
+    def __init__(self, vars: VarSet, masks: frozenset[int]):
+        _set_family_vars(self, vars)
+        _set_family_masks(self, masks)
+        _guard_width(vars)
+        limit = 1 << (1 << len(vars))
+        for m in masks:
             if not 0 <= m < limit:
                 raise ValidationError("family contains a team mask out of range")
+
+    def __repr__(self):
+        return f"TeamFamily(vars={self.vars!r}, masks={self.masks!r})"
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.vars, self.masks) == (other.vars, other.masks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars, self.masks))
+
+    def __reduce__(self):
+        return (type(self), (self.vars, self.masks))
 
     @classmethod
     def from_teams(cls, teams: Iterable[Team], vars: Optional[VarSet] = None) -> "TeamFamily":
@@ -376,6 +456,10 @@ class TeamFamily:
         vars = _json_vars(obj)
         teams = _as_list(obj["teams"], '"teams"')
         return cls.from_teams([Team.from_rows(vars, rows) for rows in teams], vars)
+
+
+_set_family_vars = TeamFamily.vars.__set__
+_set_family_masks = TeamFamily.masks.__set__
 
 
 def is_downward_closed(family: TeamFamily) -> bool:

@@ -416,18 +416,37 @@ def test_search_closure_human(capsys):
 
 
 def test_import_loads_no_process_pool():
-    # the CLI's cold start imports neither process pools nor their machinery
+    # the CLI's cold start imports neither process pools nor their machinery,
+    # nor dataclasses or inspect; a command that refutes and synthesizes
+    # nothing leaves the modules that do registered but not yet run
+    watched = "('concurrent', 'multiprocessing', 'dataclasses', 'inspect')"
+    loaded = f"sorted(m for m in sys.modules if m.split('.')[0] in {watched})"
     code = (
-        "import sys, tsw.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "import sys, tsw.cli\n"
+        "assert tsw.cli.main(['parse', '-f', 'p', '--json']) == 0\n"
+        f"print({loaded})\n"
+        "for name in ('definability', 'expressiveness', 'randgen'):\n"
+        "    module = sys.modules['tsw.' + name]\n"
+        "    names = object.__getattribute__(module, '__dict__')\n"
+        "    print(name, type(module).__name__, [n for n in names if not n.startswith('__')])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    done, bare = (
+        subprocess.run(
+            [sys.executable, "-c", text], env=env, capture_output=True, text=True, timeout=60
+        )
+        for text in (code, f"import sys; print({loaded})")
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.returncode == 0 and bare.returncode == 0, done.stderr + bare.stderr
+    lines = done.stdout.splitlines()
+    assert json.loads("\n".join(lines[:-4])) == {"formula": "p", "vars": ["p"]}
+    assert lines[-4] == bare.stdout.strip()
+    assert "concurrent" not in lines[-4] and "multiprocessing" not in lines[-4]
+    assert lines[-3:] == [
+        "definability _LazyModule []",
+        "expressiveness _LazyModule []",
+        "randgen _LazyModule []",
+    ]
 
 
 def test_search_human_summary(capsys):

@@ -132,12 +132,17 @@ def test_parse_errors_carry_positions():
 
 
 def test_to_text_round_trips_long_chains():
-    # texts are compared, because == on formulas recurses once per level
-    for glyph in ("&", "->"):
-        text = f" {glyph} ".join("pqr"[i % 3] for i in range(5000))
+    # n operands nest n - 1 deep; ==, != and hash walk with their own
+    # stacks, so they answer at the default recursion limit
+    for glyph, n in (("&", 5000), ("->", 5000), ("+", 5001)):
+        text = f" {glyph} ".join("pqr"[i % 3] for i in range(n))
         phi = parse(text)
         assert to_text(phi) == text
-        assert to_text(parse(to_text(phi))) == text
+        again = parse(to_text(phi))
+        assert again == phi and not (again != phi) and hash(again) == hash(phi)
+        # differ at the first operand (deepest in a left chain) or the last
+        for other in (parse("t" + text[1:]), parse(text[:-1] + "t")):
+            assert other != phi and not (other == phi) and hash(other) != hash(phi)
 
 
 def test_parse_rejects_nesting_past_the_depth():
@@ -466,6 +471,43 @@ def test_what_a_node_keeps_is_not_seen():
         again = pickle.loads(pickle.dumps(phi))
         assert again == phi and hash(again) == hash(phi)
         assert syntax_tree(again) is not tree and syntax_tree(again) == tree
+        assert hash(syntax_tree(again)) == hash(tree)
+        for value in (tree, tree.nodes[-1]):
+            assert pickle.loads(pickle.dumps(value)) == value
+    # the value semantics of each class: its repr, fixed fields, no __dict__
+    # on a node, and equal copies through pickle
+    vp, vq = repr(p), repr(q)
+    leaf = "TreeNode(id=0, formula=Bottom(), parent=None, children=(), depth=0)"
+    values = [
+        (p, "Variable(name='p')", "name"),
+        (PosVar(p), f"PosVar(var={vp})", "var"),
+        (NegVar(q), f"NegVar(var={vq})", "var"),
+        (Bottom(), "Bottom()", "left"),
+        (Top(), "Top()", "left"),
+        (Dep((p,), q), f"Dep(args=({vp},), target={vq})", "target"),
+        (Placeholder(2), "Placeholder(index=2)", "index"),
+        (And(PosVar(p), Top()), f"And(left=PosVar(var={vp}), right=Top())", "left"),
+        (Tensor(Bottom(), Placeholder(1)), "Tensor(left=Bottom(), right=Placeholder(index=1))",
+         "left"),
+        (IDisj(PosVar(p), NegVar(q)), f"IDisj(left=PosVar(var={vp}), right=NegVar(var={vq}))",
+         "right"),
+        (Impl(Dep((), p), Top()), f"Impl(left=Dep(args=(), target={vp}), right=Top())", "right"),
+        (syntax_tree(Bottom()).nodes[0], leaf, "depth"),
+        (syntax_tree(Bottom()), f"SyntaxTree(nodes=({leaf},), root=0)", "root"),
+    ]
+    for value, text, field in values:
+        assert repr(value) == text
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert repr(value) == text and not hasattr(value, "__dict__")
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and not (again != value) and hash(again) == hash(value)
+    assert sorted([r, Variable("a"), q, p]) == [Variable("a"), p, q, r]
+    assert max(p, r) == r and p <= p < q and q >= q > p
+    assert And(PosVar(p), PosVar(q)) != Tensor(PosVar(p), PosVar(q))
+    assert PosVar(p) != NegVar(p) and Bottom() != Top() and Placeholder(1) != Placeholder(2)
 
 
 def test_node_alternatives_leave_the_context_census_alone():

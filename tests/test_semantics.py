@@ -22,6 +22,7 @@ from tsw.formulas import (
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
+    PropertyReport,
     _bit_positions,
     _down_set,
     _truth_indicator,
@@ -247,6 +248,19 @@ def test_property_report_structure():
     names = [c["name"] for c in obj["checks"]]
     assert names == ["empty_team", "downward_closure", "locality", "disjunction_property"]
     assert all(c["passed"] for c in obj["checks"])
+    # the reports are plain mutable values: repr, == and no hash
+    first = rep.checks[0]
+    assert repr(first) == (
+        "CheckOutcome(name='empty_team', passed=True, "
+        "detail='the empty team satisfies the formula', witness=None)"
+    )
+    assert repr(PropertyReport("p", ["p"])) == "PropertyReport(formula='p', vars=['p'], checks=[])"
+    again = check_basic_properties(parse("=(p;q)"), seed=7)
+    assert again == rep and again.checks[0] == first and again.checks[0] != rep.checks[1]
+    again.checks[0].passed = False
+    assert again != rep and not again.ok
+    with pytest.raises(TypeError):
+        hash(rep)
 
 
 def test_property_report_is_seed_deterministic():

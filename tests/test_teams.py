@@ -292,3 +292,27 @@ def test_varset_walk_table_is_not_seen():
     assert pickle.dumps(vs) == pickle.dumps(VarSet.of("p", "q", "r"))
     again = pickle.loads(pickle.dumps(vs))
     assert again == vs and hash(again) == hash(vs) and "_table" not in again.__dict__
+    # the value semantics of each class: its repr, fixed fields, and equal
+    # copies through pickle
+    p = VarSet.of("p")
+    values = [
+        (vs, "vars", "VarSet(vars=(Variable(name='p'), Variable(name='q'), Variable(name='r')))"),
+        (Valuation(p, 1), "bits", "Valuation(vars=VarSet(vars=(Variable(name='p'),)), bits=1)"),
+        (Team(p, 3), "mask", "Team(vars=VarSet(vars=(Variable(name='p'),)), mask=3)"),
+        (
+            TeamFamily(p, frozenset({0, 1})),
+            "masks",
+            "TeamFamily(vars=VarSet(vars=(Variable(name='p'),)), masks=frozenset({0, 1}))",
+        ),
+    ]
+    for value, field, text in values:
+        assert repr(value) == text
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        again = pickle.loads(pickle.dumps(value))
+        assert again == value and not (again != value) and hash(again) == hash(value)
+        assert repr(again) == text
+    assert Team(p, 1) != Team(p, 2) and Team(p, 1) != Valuation(p, 1)
+    assert TeamFamily(p, frozenset({0})) != TeamFamily(VarSet.of("q"), frozenset({0}))
