@@ -15,15 +15,17 @@ primitive atom satisfied by every team; it is admitted in every fragment
 so that contexts can be instantiated trivially without fragment-specific
 encodings.
 
-Nodes, variables and syntax trees are plain classes with slots and
-hand-written value methods: the constructor sets the fields once, and
-assigning or deleting one raises ``AttributeError``.  Each formula node
-keeps what is derived from it, computed by one walk on first request and
-stored on the node: its census (the variables, the placeholder indices
-and the node types occurring in it), its syntax tree and its hash.
-``==``, ``hash``, ``repr`` and pickling read the fields alone, so what a
-node keeps is never seen; it lives and dies with the node.  ``==`` and
-``hash`` keep their own stacks, so formulas of any depth compare.
+Nodes, variables and syntax trees are plain classes with slots.  Their
+constructor, ``repr``, ``==``, ``hash`` and pickling come from one base,
+``_Value``, which writes them from the field names in ``__match_args__``;
+the constructor sets the fields once, and assigning or deleting one
+raises ``AttributeError``.  Each formula node keeps what is derived from
+it, computed by one walk on first request and stored on the node: its
+census (the variables, the placeholder indices and the node types
+occurring in it), its syntax tree and its hash.  ``==``, ``hash``,
+``repr`` and pickling read the fields alone, so what a node keeps is never
+seen; it lives and dies with the node.  On connectives they keep their own
+stacks, so formulas of any depth compare, hash, print, pickle and copy.
 """
 
 from __future__ import annotations
@@ -39,10 +41,43 @@ _RESERVED_RE = re.compile(r"r[0-9]+\Z")
 _KEYWORDS = ("bot", "top")
 
 
-class _Frozen:
-    """A value whose fields are set once, by ``__init__``: assigning or
-    deleting an attribute raises ``AttributeError``.  Subclasses write
-    their fields through ``object.__setattr__`` or a slot's ``__set__``."""
+class _Value:
+    """A value made of the fields its class names in ``__match_args__``.
+    From those names the base writes the class's methods, as source text
+    compiled once per class (as ``dataclasses`` does, which the CLI's cold
+    start does not load):
+
+    * the constructor takes the fields in that order, by position or by
+      name, with the annotations of the class body; it sets them and then
+      runs the class's ``_check``, if it has one;
+    * ``repr`` is ``Name(field=value, ...)`` and ``==`` holds between two
+      values of one type with equal fields.
+
+    Such a value is mutable and unhashable; ``_Frozen`` makes it immutable,
+    hashable and picklable.  The constructor is written when the class is
+    created, for ``inspect.signature`` and keyword calls to read; each other
+    method on its first call, so an import compiles constructors alone.  A
+    method is written for the class that names the fields and serves its
+    subclasses, unless the class or one between writes it by hand."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__match_args__") and "__init__" not in cls.__dict__:
+            _write(cls, "__init__")
+
+    def __repr__(self):
+        return _write(type(self), "__repr__")(self)
+
+    def __eq__(self, other):
+        return _write(type(self), "__eq__")(self, other)
+
+
+class _Frozen(_Value):
+    """A value whose fields are set once, by its constructor: assigning or
+    deleting an attribute raises ``AttributeError``.  It hashes as the
+    tuple of its fields and pickles as its constructor call."""
 
     __slots__ = ()
 
@@ -52,15 +87,62 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __hash__(self):
+        return _write(type(self), "__hash__")(self)
+
+    def __reduce__(self):
+        return _write(type(self), "__reduce__")(self)
+
+
+# The text of each written method; ``_write`` fills in the fields.
+_TEXT = {
+    "__init__": "def __init__(self, {params}):{sets}",
+    "__repr__": "def __repr__(self):\n    return '%s({shown})' % (type(self).__name__, {mine})",
+    "__eq__": (
+        "def __eq__(self, other):\n"
+        "    if type(other) is type(self):\n"
+        "        return {same}\n"
+        "    return NotImplemented"
+    ),
+    "__hash__": "def __hash__(self):\n    return hash(({mine}))",
+    "__reduce__": "def __reduce__(self):\n    return (type(self), ({mine}))",
+}
+
+
+def _write(cls: type, name: str):
+    """Write method ``name`` of the class in ``cls``'s MRO that names the
+    fields, set it on that class and return it."""
+    owner = next(c for c in cls.__mro__ if "__match_args__" in c.__dict__)
+    fields = owner.__match_args__
+    mine = "".join(f"self.{f}, " for f in fields)  # the items of the fields' tuple
+    if len(fields) == 1:  # the test of 1-tuples, without building them
+        same = "self.{0} is other.{0} or self.{0} == other.{0}".format(*fields)
+    else:
+        same = "({}) == ({})".format(mine, "".join(f"other.{f}, " for f in fields))
+    sets = "".join(f"\n    set_{f}(self, {f})" for f in fields)
+    if hasattr(owner, "_check"):
+        sets += "\n    self._check()"
+    shown = ", ".join(f"{f}=%r" for f in fields)
+    text = _TEXT[name].format(params=", ".join(fields), sets=sets, shown=shown, mine=mine,
+                              same=same)
+    scope = {f"set_{f}": getattr(owner, f).__set__ for f in fields} if name == "__init__" else {}
+    exec(text, scope)
+    method = scope[name]
+    method.__qualname__ = f"{owner.__qualname__}.{name}"
+    if name == "__init__":
+        method.__annotations__ = owner.__dict__.get("__annotations__", {})
+    setattr(owner, name, method)
+    return method
+
 
 class Variable(_Frozen):
     """A propositional variable, identified by its name; ordered by name."""
 
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
+    __slots__ = __match_args__ = ("name",)
+    name: str
 
-    def __init__(self, name: str):
-        _set_name(self, name)
+    def _check(self):
+        name = self.name
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ValidationError(f"bad variable name {name!r}")
         if _RESERVED_RE.match(name):
@@ -70,45 +152,21 @@ class Variable(_Frozen):
         if name in _KEYWORDS:
             raise ValidationError(f"{name!r} is a keyword and cannot name a variable")
 
-    def __repr__(self):
-        return f"Variable(name={self.name!r})"
-
     def __str__(self):
         return self.name
 
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
+    # the order is hand-written: values have none of their own
     def __lt__(self, other):
-        if type(other) is type(self):
-            return self.name < other.name
-        return NotImplemented
+        return self.name < other.name if type(other) is type(self) else NotImplemented
 
     def __le__(self, other):
-        if type(other) is type(self):
-            return self.name <= other.name
-        return NotImplemented
+        return self.name <= other.name if type(other) is type(self) else NotImplemented
 
     def __gt__(self, other):
-        if type(other) is type(self):
-            return self.name > other.name
-        return NotImplemented
+        return self.name > other.name if type(other) is type(self) else NotImplemented
 
     def __ge__(self, other):
-        if type(other) is type(self):
-            return self.name >= other.name
-        return NotImplemented
-
-    def __reduce__(self):
-        return (type(self), (self.name,))
-
-
-_set_name = Variable.name.__set__
+        return self.name >= other.name if type(other) is type(self) else NotImplemented
 
 
 class _Node(_Frozen):
@@ -119,18 +177,25 @@ class _Node(_Frozen):
     * ``_facts``, read through ``_kept``: the census, a 3-tuple, which
       gains the syntax tree as a fourth item when the tree is first asked
       for;
-    * ``_hash``: the hash of the node's fields' tuple, kept by literals,
-      dependence atoms and connectives (a placeholder's or a constant's
-      is as cheap to recompute).  A connective's is built from its sides'
-      kept hashes, bottom-up by one walk with its own stack
-      (``_store_hashes``).
+    * ``_hash``: the hash of the node's fields' tuple.  A connective's is
+      built from its sides' kept hashes, bottom-up by one walk with its own
+      stack (``_store_hashes``).
 
-    ``==`` on connectives walks both sides with its own stack too, so a
-    formula of any depth compares and hashes.  The methods are written
-    once per node shape (connective, variable literal, ``Dep``,
-    ``Placeholder``, constant).  Nodes have slots and no ``__dict__``."""
+    Connectives write ``==``, ``repr`` and pickling by hand, each walking
+    with its own stack, so a formula of any depth compares, hashes, prints,
+    pickles and copies; atoms take them from ``_Value``.  Nodes have slots
+    and no ``__dict__``."""
 
     __slots__ = ("_facts", "_hash")
+
+    # kept: hashing an atom's fields hashes each of its variables again
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.__reduce__()[1])  # the fields' tuple
+            _set_hash(self, h)
+            return h
 
     @property
     def _kept(self) -> "Census":
@@ -162,16 +227,12 @@ _set_hash = _Node._hash.__set__
 class _Binary(_Node):
     """A connective: ``left`` and ``right`` are its two sides."""
 
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = ("left", "right")
+    left: "Formula"
+    right: "Formula"
 
-    def __init__(self, left: "Formula", right: "Formula"):
-        _set_left(self, left)
-        _set_right(self, right)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
-
+    # ==, hash, repr and pickling walk with their own stacks: derived ones
+    # would recurse once per level
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -183,12 +244,38 @@ class _Binary(_Node):
         except AttributeError:
             return _store_hashes(self)
 
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]  # formulas still to show, and text
+        while stack:
+            f = stack.pop()
+            if type(f) is str:
+                out.append(f)
+            elif type(f) in BINARY_NODES:
+                out.append(f"{type(f).__name__}(left=")
+                stack += (")", f.right, ", right=", f.left)
+            else:
+                out.append(repr(f))
+        return "".join(out)
+
     def __reduce__(self):
-        return (type(self), (self.left, self.right))
+        # the atoms and connective types in post-order, which _rebuild folds
+        items: list = []
+        fold(self, items.append, lambda f, left, right: items.append(type(f)))
+        return (_rebuild, (tuple(items),))
 
 
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
+def _rebuild(items: tuple) -> "Formula":
+    """The formula whose atoms and connective types are ``items``, in
+    post-order: each type takes the last two formulas built."""
+    built: list = []
+    for item in items:
+        if isinstance(item, type):
+            right = built.pop()
+            built[-1] = item(built[-1], right)
+        else:
+            built.append(item)
+    return built[0]
 
 
 def _same_connectives(a: "_Binary", b: "_Binary") -> bool:
@@ -230,33 +317,8 @@ def _store_hashes(phi: "_Binary") -> int:
 class _Literal(_Node):
     """A variable or a negated variable."""
 
-    __slots__ = ("var",)
-    __match_args__ = ("var",)
-
-    def __init__(self, var: Variable):
-        _set_var(self, var)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(var={self.var!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.var is other.var or self.var == other.var
-        return NotImplemented
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.var,))
-            _set_hash(self, h)
-            return h
-
-    def __reduce__(self):
-        return (type(self), (self.var,))
-
-
-_set_var = _Literal.var.__set__
+    __slots__ = __match_args__ = ("var",)
+    var: Variable
 
 
 class PosVar(_Literal):
@@ -270,25 +332,7 @@ class NegVar(_Literal):
 class _Constant(_Node):
     """An atom without fields: every two of one type are equal."""
 
-    __slots__ = ()
-    __match_args__ = ()
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return _EMPTY_HASH
-
-    def __reduce__(self):
-        return (type(self), ())
-
-
-_EMPTY_HASH = hash(())
+    __slots__ = __match_args__ = ()
 
 
 class Bottom(_Constant):
@@ -304,64 +348,20 @@ class Dep(_Node):
     value is a function of the argument values.  Empty args is the
     constancy atom ``=(target)``."""
 
-    __slots__ = ("args", "target")
-    __match_args__ = ("args", "target")
-
-    def __init__(self, args: tuple[Variable, ...], target: Variable):
-        _set_args(self, args)
-        _set_target(self, target)
-
-    def __repr__(self):
-        return f"Dep(args={self.args!r}, target={self.target!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.args, self.target) == (other.args, other.target)
-        return NotImplemented
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.args, self.target))
-            _set_hash(self, h)
-            return h
-
-    def __reduce__(self):
-        return (type(self), (self.args, self.target))
-
-
-_set_args = Dep.args.__set__
-_set_target = Dep.target.__set__
+    __slots__ = __match_args__ = ("args", "target")
+    args: tuple[Variable, ...]
+    target: Variable
 
 
 class Placeholder(_Node):
     """Numbered hole ``r<index>`` filled by uniform substitution."""
 
-    __slots__ = ("index",)
-    __match_args__ = ("index",)
+    __slots__ = __match_args__ = ("index",)
+    index: int
 
-    def __init__(self, index: int):
-        _set_index(self, index)
-        if index < 1:
+    def _check(self):
+        if self.index < 1:
             raise ValidationError("placeholder indices start at r1")
-
-    def __repr__(self):
-        return f"Placeholder(index={self.index!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index,))
-
-    def __reduce__(self):
-        return (type(self), (self.index,))
-
-
-_set_index = Placeholder.index.__set__
 
 
 class And(_Binary):
@@ -583,47 +583,12 @@ class TreeNode(_Frozen):
     ``formula``, the id of its ``parent`` (``None`` at the root), the ids
     of its ``children`` and its ``depth``."""
 
-    __slots__ = ("id", "formula", "parent", "children", "depth")
-    __match_args__ = __slots__
-
-    def __init__(
-        self,
-        id: int,
-        formula: Formula,
-        parent: Optional[int],
-        children: tuple[int, ...],
-        depth: int,
-    ):
-        _set_id(self, id)
-        _set_formula(self, formula)
-        _set_parent(self, parent)
-        _set_children(self, children)
-        _set_depth(self, depth)
-
-    def _fields(self) -> tuple:
-        return (self.id, self.formula, self.parent, self.children, self.depth)
-
-    def __repr__(self):
-        return (
-            f"TreeNode(id={self.id!r}, formula={self.formula!r}, parent={self.parent!r}, "
-            f"children={self.children!r}, depth={self.depth!r})"
-        )
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (type(self), self._fields())
-
-
-_set_id, _set_formula, _set_parent, _set_children, _set_depth = (
-    getattr(TreeNode, name).__set__ for name in TreeNode.__slots__
-)
+    __slots__ = __match_args__ = ("id", "formula", "parent", "children", "depth")
+    id: int
+    formula: Formula
+    parent: Optional[int]
+    children: tuple[int, ...]
+    depth: int
 
 
 class SyntaxTree(_Frozen):
@@ -634,26 +599,12 @@ class SyntaxTree(_Frozen):
     occurrences of one subformula get distinct ids.
     """
 
-    __slots__ = ("nodes", "root")
-    __match_args__ = __slots__
+    __slots__ = __match_args__ = ("nodes", "root")
 
+    # hand-written, for the default
     def __init__(self, nodes: tuple[TreeNode, ...], root: int = 0):
-        _set_nodes(self, nodes)
-        _set_root(self, root)
-
-    def __repr__(self):
-        return f"SyntaxTree(nodes={self.nodes!r}, root={self.root!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.nodes, self.root) == (other.nodes, other.root)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nodes, self.root))
-
-    def __reduce__(self):
-        return (type(self), (self.nodes, self.root))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "root", root)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -692,8 +643,6 @@ class SyntaxTree(_Frozen):
         return out
 
 
-_set_nodes = SyntaxTree.nodes.__set__
-_set_root = SyntaxTree.root.__set__
 
 def syntax_tree(phi: Formula) -> SyntaxTree:
     """The occurrence tree of ``phi``: leaves are atom occurrences,

@@ -78,6 +78,7 @@ from .formulas import (
     Tensor,
     Top,
     Variable,
+    _Value,
     fold,
     scan_variables,
     substituent,
@@ -549,31 +550,18 @@ def equivalent(phi: Formula, psi: Formula, *, force: bool = False) -> bool:
 # --- Property suite -------------------------------------------------------
 
 
-class CheckOutcome:
+class CheckOutcome(_Value):
     """One check of ``check_basic_properties``: its name, whether it passed,
     what it checked and, on failure, a witness."""
 
+    __match_args__ = ("name", "passed", "detail", "witness")
+
+    # hand-written, for the default
     def __init__(self, name: str, passed: bool, detail: str, witness: Optional[dict] = None):
         self.name = name
         self.passed = passed
         self.detail = detail
         self.witness = witness
-
-    def __repr__(self):
-        return (
-            f"CheckOutcome(name={self.name!r}, passed={self.passed!r}, "
-            f"detail={self.detail!r}, witness={self.witness!r})"
-        )
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-    def _fields(self) -> tuple:
-        return (self.name, self.passed, self.detail, self.witness)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -582,29 +570,16 @@ class CheckOutcome:
         return out
 
 
-class PropertyReport:
+class PropertyReport(_Value):
     """The checks of ``check_basic_properties`` on one formula."""
 
+    __match_args__ = ("formula", "vars", "checks")
+
+    # hand-written, for the default: a new list
     def __init__(self, formula: str, vars: list[str], checks: Optional[list[CheckOutcome]] = None):
         self.formula = formula
         self.vars = vars
         self.checks = [] if checks is None else checks
-
-    def __repr__(self):
-        return (
-            f"PropertyReport(formula={self.formula!r}, vars={self.vars!r}, "
-            f"checks={self.checks!r})"
-        )
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-    def _fields(self) -> tuple:
-        return (self.formula, self.vars, self.checks)
 
     @property
     def ok(self) -> bool:

@@ -62,29 +62,17 @@ class _Kept:
 class VarSet(_Frozen):
     """Ordered, duplicate-free tuple of variables; the order fixes bit positions."""
 
-    # What a walk over teams on these variables reads (``_walk_table``),
-    # found on first use.  Pickling, like ``==``, ``hash`` and ``repr``,
-    # reads ``vars`` alone.
+    # a __dict__ holds what a walk over teams on these variables reads
+    # (``_walk_table``), found on first use.  Pickling, like ``==``, ``hash``
+    # and ``repr``, reads ``vars`` alone.
+    __slots__ = ("vars", "__dict__")
+    __match_args__ = ("vars",)
+    vars: tuple[Variable, ...]
     _table = _Kept(lambda vs: _walk_table(vs.vars))
 
-    def __init__(self, vars: tuple[Variable, ...]):
-        object.__setattr__(self, "vars", vars)
-        if len(set(vars)) != len(vars):
+    def _check(self):
+        if len(set(self.vars)) != len(self.vars):
             raise ValidationError("duplicate variables in variable set")
-
-    def __repr__(self):
-        return f"VarSet(vars={self.vars!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self.vars == other.vars
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars,))
-
-    def __reduce__(self):
-        return (type(self), (self.vars,))
 
     @classmethod
     def of(cls, *names: str) -> "VarSet":
@@ -148,28 +136,13 @@ class _PatternOnes(dict):
 class Valuation(_Frozen):
     """One row of a team: a bit per variable."""
 
-    __slots__ = ("vars", "bits")
-    __match_args__ = __slots__
+    __slots__ = __match_args__ = ("vars", "bits")
+    vars: VarSet
+    bits: int
 
-    def __init__(self, vars: VarSet, bits: int):
-        _set_valuation_vars(self, vars)
-        _set_valuation_bits(self, bits)
-        if not 0 <= bits < (1 << len(vars)):
+    def _check(self):
+        if not 0 <= self.bits < (1 << len(self.vars)):
             raise ValidationError("valuation bits out of range for the variable set")
-
-    def __repr__(self):
-        return f"Valuation(vars={self.vars!r}, bits={self.bits!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.vars, self.bits) == (other.vars, other.bits)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars, self.bits))
-
-    def __reduce__(self):
-        return (type(self), (self.vars, self.bits))
 
     @classmethod
     def from_row(cls, vars: VarSet, row: Sequence[int]) -> "Valuation":
@@ -196,10 +169,6 @@ class Valuation(_Frozen):
         return Valuation(sub, bits)
 
 
-_set_valuation_vars = Valuation.vars.__set__
-_set_valuation_bits = Valuation.bits.__set__
-
-
 def _guard_width(vars: VarSet) -> None:
     if len(vars) > MAX_TEAM_VARS:
         raise CapExceededError(
@@ -210,29 +179,14 @@ def _guard_width(vars: VarSet) -> None:
 class Team(_Frozen):
     """A set of valuations over a shared variable set, as a pattern bitmask."""
 
-    __slots__ = ("vars", "mask")
-    __match_args__ = __slots__
+    __slots__ = __match_args__ = ("vars", "mask")
+    vars: VarSet
+    mask: int
 
-    def __init__(self, vars: VarSet, mask: int):
-        _set_team_vars(self, vars)
-        _set_team_mask(self, mask)
-        _guard_width(vars)
-        if not 0 <= mask < (1 << (1 << len(vars))):
+    def _check(self):
+        _guard_width(self.vars)
+        if not 0 <= self.mask < (1 << (1 << len(self.vars))):
             raise ValidationError("team mask out of range for the variable set")
-
-    def __repr__(self):
-        return f"Team(vars={self.vars!r}, mask={self.mask!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.vars, self.mask) == (other.vars, other.mask)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars, self.mask))
-
-    def __reduce__(self):
-        return (type(self), (self.vars, self.mask))
 
     @classmethod
     def empty(cls, vars: VarSet) -> "Team":
@@ -319,10 +273,6 @@ class Team(_Frozen):
         return cls.from_rows(_json_vars(obj), obj["team"])
 
 
-_set_team_vars = Team.vars.__set__
-_set_team_mask = Team.mask.__set__
-
-
 def full_team(vars: VarSet) -> Team:
     """The team of all ``2^|vars|`` valuations.  For an empty variable set
     this is the singleton of the empty valuation."""
@@ -394,31 +344,16 @@ def maximal_masks(masks: list[int]) -> list[int]:
 class TeamFamily(_Frozen):
     """A set of teams over a fixed variable set."""
 
-    __slots__ = ("vars", "masks")
-    __match_args__ = __slots__
+    __slots__ = __match_args__ = ("vars", "masks")
+    vars: VarSet
+    masks: frozenset[int]
 
-    def __init__(self, vars: VarSet, masks: frozenset[int]):
-        _set_family_vars(self, vars)
-        _set_family_masks(self, masks)
-        _guard_width(vars)
-        limit = 1 << (1 << len(vars))
-        for m in masks:
+    def _check(self):
+        _guard_width(self.vars)
+        limit = 1 << (1 << len(self.vars))
+        for m in self.masks:
             if not 0 <= m < limit:
                 raise ValidationError("family contains a team mask out of range")
-
-    def __repr__(self):
-        return f"TeamFamily(vars={self.vars!r}, masks={self.masks!r})"
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.vars, self.masks) == (other.vars, other.masks)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars, self.masks))
-
-    def __reduce__(self):
-        return (type(self), (self.vars, self.masks))
 
     @classmethod
     def from_teams(cls, teams: Iterable[Team], vars: Optional[VarSet] = None) -> "TeamFamily":
@@ -456,10 +391,6 @@ class TeamFamily(_Frozen):
         vars = _json_vars(obj)
         teams = _as_list(obj["teams"], '"teams"')
         return cls.from_teams([Team.from_rows(vars, rows) for rows in teams], vars)
-
-
-_set_family_vars = TeamFamily.vars.__set__
-_set_family_masks = TeamFamily.masks.__set__
 
 
 def is_downward_closed(family: TeamFamily) -> bool:

@@ -1,3 +1,5 @@
+import copy
+import inspect
 import pickle
 import random
 import sys
@@ -19,6 +21,8 @@ from tsw.formulas import (
     PosVar,
     Tensor,
     Top,
+    SyntaxTree,
+    TreeNode,
     Variable,
     fold,
     fragment_check,
@@ -131,11 +135,21 @@ def test_parse_errors_carry_positions():
         parse("=(p;q;r)")
 
 
+def _reference_repr(phi) -> str:
+    """The ``repr`` of a formula, recursing once per connective."""
+    if isinstance(phi, (And, Tensor, IDisj, Impl)):
+        left, right = _reference_repr(phi.left), _reference_repr(phi.right)
+        return f"{type(phi).__name__}(left={left}, right={right})"
+    return repr(phi)
+
+
 def test_to_text_round_trips_long_chains():
-    # n operands nest n - 1 deep; ==, != and hash walk with their own
-    # stacks, so they answer at the default recursion limit
-    for glyph, n in (("&", 5000), ("->", 5000), ("+", 5001)):
-        text = f" {glyph} ".join("pqr"[i % 3] for i in range(n))
+    # n operands nest n - 1 deep; ==, !=, hash, repr, pickling and copying
+    # walk with their own stacks, so they answer at the default recursion limit
+    chains = [("&", 5000, "pqr"), ("->", 5000, "pqr"), ("+", 5001, "pqr"), ("&", 5000, "p"),
+              ("+", 5001, "p")]
+    for glyph, n, names in chains:
+        text = f" {glyph} ".join(names[i % len(names)] for i in range(n))
         phi = parse(text)
         assert to_text(phi) == text
         again = parse(to_text(phi))
@@ -143,6 +157,13 @@ def test_to_text_round_trips_long_chains():
         # differ at the first operand (deepest in a left chain) or the last
         for other in (parse("t" + text[1:]), parse(text[:-1] + "t")):
             assert other != phi and not (other == phi) and hash(other) != hash(phi)
+        shown = repr(phi)
+        assert shown.count("(left=") == n - 1 and shown == repr(again)
+        for copied in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi), copy.copy(phi)):
+            assert copied == phi and hash(copied) == hash(phi) and repr(copied) == shown
+        # the same text as the recursive repr, where that one answers
+        short = parse(f" {glyph} ".join(text.split(f" {glyph} ")[:60]))
+        assert repr(short) == _reference_repr(short)
 
 
 def test_parse_rejects_nesting_past_the_depth():
@@ -504,6 +525,32 @@ def test_what_a_node_keeps_is_not_seen():
         assert repr(value) == text and not hasattr(value, "__dict__")
         again = pickle.loads(pickle.dumps(value))
         assert again == value and not (again != value) and hash(again) == hash(value)
+        # the hash of the fields' tuple, so set and dict orders stay put
+        fields = tuple(getattr(value, name) for name in type(value).__match_args__)
+        assert hash(value) == hash(fields) and type(value)(*fields) == value
+    # each constructor takes its fields by position or by name
+    signatures = {
+        Variable: "(name: 'str')",
+        PosVar: "(var: 'Variable')",
+        NegVar: "(var: 'Variable')",
+        Bottom: "()",
+        Top: "()",
+        Dep: "(args: 'tuple[Variable, ...]', target: 'Variable')",
+        Placeholder: "(index: 'int')",
+        And: """(left: "'Formula'", right: "'Formula'")""",
+        Tensor: """(left: "'Formula'", right: "'Formula'")""",
+        IDisj: """(left: "'Formula'", right: "'Formula'")""",
+        Impl: """(left: "'Formula'", right: "'Formula'")""",
+        TreeNode: (
+            "(id: 'int', formula: 'Formula', parent: 'Optional[int]', "
+            "children: 'tuple[int, ...]', depth: 'int')"
+        ),
+        SyntaxTree: "(nodes: 'tuple[TreeNode, ...]', root: 'int' = 0)",
+    }
+    for cls, signature in signatures.items():
+        assert str(inspect.signature(cls)) == signature
+    assert Dep(target=q, args=(p,)) == Dep((p,), q) and And(left=Top(), right=Bottom())
+    assert SyntaxTree(syntax_tree(Top()).nodes) == SyntaxTree(root=0, nodes=syntax_tree(Top()).nodes)
     assert sorted([r, Variable("a"), q, p]) == [Variable("a"), p, q, r]
     assert max(p, r) == r and p <= p < q and q >= q > p
     assert And(PosVar(p), PosVar(q)) != Tensor(PosVar(p), PosVar(q))

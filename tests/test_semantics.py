@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -22,6 +23,7 @@ from tsw.formulas import (
 from tsw.parsing import parse
 from tsw.randgen import random_formula, random_team
 from tsw.semantics import (
+    CheckOutcome,
     PropertyReport,
     _bit_positions,
     _down_set,
@@ -261,6 +263,18 @@ def test_property_report_structure():
     assert again != rep and not again.ok
     with pytest.raises(TypeError):
         hash(rep)
+    with pytest.raises(TypeError):
+        hash(first)
+    # each constructor takes its fields by position or by name
+    assert str(inspect.signature(CheckOutcome)) == (
+        "(name: 'str', passed: 'bool', detail: 'str', witness: 'Optional[dict]' = None)"
+    )
+    assert str(inspect.signature(PropertyReport)) == (
+        "(formula: 'str', vars: 'list[str]', checks: 'Optional[list[CheckOutcome]]' = None)"
+    )
+    assert CheckOutcome(detail=first.detail, passed=True, name=first.name) == first
+    assert PropertyReport(vars=rep.vars, formula=rep.formula, checks=rep.checks) == rep
+    assert PropertyReport("p", ["p"]).checks is not PropertyReport("p", ["p"]).checks
 
 
 def test_property_report_is_seed_deterministic():

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -314,5 +315,19 @@ def test_varset_walk_table_is_not_seen():
         again = pickle.loads(pickle.dumps(value))
         assert again == value and not (again != value) and hash(again) == hash(value)
         assert repr(again) == text
+        # the hash of the fields' tuple, so set and dict orders stay put
+        fields = (value.vars,) if field == "vars" else (value.vars, getattr(value, field))
+        assert hash(value) == hash(fields) and type(value)(*fields) == value
+    # each constructor takes its fields by position or by name
+    signatures = {
+        VarSet: "(vars: 'tuple[Variable, ...]')",
+        Valuation: "(vars: 'VarSet', bits: 'int')",
+        Team: "(vars: 'VarSet', mask: 'int')",
+        TeamFamily: "(vars: 'VarSet', masks: 'frozenset[int]')",
+    }
+    for cls, signature in signatures.items():
+        assert str(inspect.signature(cls)) == signature
+    assert Team(mask=3, vars=p) == Team(p, 3) and Valuation(bits=1, vars=p) == Valuation(p, 1)
+    assert VarSet(vars=vs.vars) == vs and TeamFamily(masks=frozenset(), vars=p) == TeamFamily(p, frozenset())
     assert Team(p, 1) != Team(p, 2) and Team(p, 1) != Valuation(p, 1)
     assert TeamFamily(p, frozenset({0})) != TeamFamily(VarSet.of("q"), frozenset({0}))
